@@ -12,8 +12,6 @@ whole-batch "speedup" physically caps near 1x, so any floor there
 would test the machine, not the code.
 """
 
-import os
-
 import numpy as np
 import pytest
 from conftest import SWEEP_DURATION
@@ -72,10 +70,7 @@ def test_batch_parallel_speedup(benchmark):
     speedup = serial.wall_time / parallel.wall_time
     # Cores this process may actually use: containers and CI runners
     # often restrict CPU affinity below os.cpu_count()'s host total.
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # Non-Linux platforms.
-        cpus = os.cpu_count() or 1
+    cpus = BatchRunner.suggested_workers()
     rows = [
         {
             "mode": "serial",

@@ -22,9 +22,10 @@ pre-vectorization seed in parentheses):
   ``Simulator`` instances of the same configuration.
 
 PR 7 adds a ``cohort`` section: warm throughput of a 16-run
-policy-only sweep at 64x64 through the serial per-run path vs cohort
-execution (exact and block modes), in runs/sec-per-core, plus the LU
-factorization counters that gate the shared-kernel property. The
+policy-only sweep at 64x64 through a plain ``Simulator.run`` loop vs
+:class:`~repro.runner.BatchRunner` (which orders runs by thermal
+cohort), in runs/sec-per-core, plus the LU factorization counters that
+gate the shared-kernel property. The
 committed ``BENCH_hotpath.json`` at the repo root is the trajectory
 baseline; ``benchmarks/compare_bench.py`` diffs a fresh run against it.
 
@@ -68,7 +69,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro import units  # noqa: E402
 from repro.geometry.stack import build_stack  # noqa: E402
-from repro.runner import BatchRunner, CohortRunner  # noqa: E402
+from repro.runner import BatchRunner  # noqa: E402
 from repro.sim.cache import (  # noqa: E402
     CharacterizationCache,
     clear_system_memo,
@@ -116,35 +117,35 @@ def _cohort_configs() -> list:
 
 
 def collect_cohort_metrics(repeats: int = 5) -> dict:
-    """Cohort-vs-serial throughput on the 16-run policy sweep (PR 7).
+    """Batch-vs-serial throughput on the 16-run policy sweep (PR 7).
 
+    The serial baseline is a plain ``Simulator(config).run()`` loop;
+    :class:`BatchRunner` runs the same configs in cohort order.
     Throughput is runs/sec-per-core (everything here executes on one
     core; divide by ``max_workers`` when extrapolating to a pool). The
     ``warm_refactorizations`` counter is the algorithmic gate: a warm
-    cohort campaign must perform zero LU factorizations — at most one
+    batch campaign must perform zero LU factorizations — at most one
     factorization ever happens per (network, dt), however many runs
     step through it.
     """
     cache = CharacterizationCache()
     before = telemetry_metrics.snapshot()
-    BatchRunner(_cohort_configs(), cohort="off", cache=cache).run()  # warm
+    BatchRunner(_cohort_configs(), cache=cache).run()  # warm
     first_campaign_factorizations = _counter_delta(
         before, telemetry_metrics.snapshot(), "solver.factorizations"
     )
 
-    def campaign_time(make) -> float:
-        return _median_time(lambda: make().run(), repeats)
+    def serial_loop() -> None:
+        for config in _cohort_configs():
+            Simulator(config, cache=cache).run()
 
-    serial_s = campaign_time(
-        lambda: BatchRunner(_cohort_configs(), cohort="off", cache=cache)
-    )
-    exact_s = campaign_time(lambda: CohortRunner(_cohort_configs(), cache=cache))
-    block_s = campaign_time(
-        lambda: CohortRunner(_cohort_configs(), block=True, cache=cache)
+    serial_s = _median_time(serial_loop, repeats)
+    batch_s = _median_time(
+        lambda: BatchRunner(_cohort_configs(), cache=cache).run(), repeats
     )
 
     before = telemetry_metrics.snapshot()
-    CohortRunner(_cohort_configs(), cache=cache).run()
+    BatchRunner(_cohort_configs(), cache=cache).run()
     warm_refactorizations = _counter_delta(
         before, telemetry_metrics.snapshot(), "solver.factorizations"
     )
@@ -154,13 +155,10 @@ def collect_cohort_metrics(repeats: int = 5) -> dict:
         "sweep": "16 runs (4 policies x 4 seeds), 64x64, 0.2 s simulated",
         "n_runs": n_runs,
         "serial_s": serial_s,
-        "cohort_exact_s": exact_s,
-        "cohort_block_s": block_s,
+        "batch_s": batch_s,
         "serial_runs_per_sec_per_core": n_runs / serial_s,
-        "cohort_exact_runs_per_sec_per_core": n_runs / exact_s,
-        "cohort_block_runs_per_sec_per_core": n_runs / block_s,
-        "cohort_exact_speedup": serial_s / exact_s,
-        "cohort_block_speedup": serial_s / block_s,
+        "batch_runs_per_sec_per_core": n_runs / batch_s,
+        "batch_speedup": serial_s / batch_s,
         "first_campaign_factorizations": first_campaign_factorizations,
         "warm_refactorizations": warm_refactorizations,
     }
@@ -202,9 +200,7 @@ def collect_cross_network_metrics(repeats: int = 3) -> dict:
         clear_neighbor_cache()
         before = telemetry_metrics.snapshot()
         batch = BatchRunner(
-            _cross_network_configs(solver),
-            cohort="auto",
-            cache=CharacterizationCache(),
+            _cross_network_configs(solver), cache=CharacterizationCache()
         )
         start = time.perf_counter()
         runs = batch.run().runs
@@ -271,9 +267,7 @@ def collect_timing_breakdown() -> dict:
     clear_system_memo()
     before = telemetry_metrics.snapshot()
     start = time.perf_counter()
-    BatchRunner(
-        _cohort_configs(), cohort="auto", cache=CharacterizationCache()
-    ).run()
+    BatchRunner(_cohort_configs(), cache=CharacterizationCache()).run()
     wall = time.perf_counter() - start
     delta = telemetry_metrics.snapshot_diff(before, telemetry_metrics.snapshot())
     telemetry_trace.disable()
@@ -455,9 +449,8 @@ def test_hotpath_baseline(tmp_path):
     }
     cohort = loaded["cohort"]
     assert cohort["n_runs"] == 16
-    assert cohort["cohort_exact_speedup"] > 0.0
-    assert cohort["cohort_block_speedup"] > 0.0
-    # The algorithmic gate: warm cohorts never refactorize.
+    assert cohort["batch_speedup"] > 0.0
+    # The algorithmic gate: warm batches never refactorize.
     assert cohort["warm_refactorizations"] == 0
     cross = loaded["cross_network"]
     assert cross["n_points"] == 16
@@ -508,11 +501,9 @@ def main(argv=None) -> int:
     cohort = payload["cohort"]
     print(f"\ncohort sweep: {cohort['sweep']}")
     print(
-        f"  serial {cohort['serial_runs_per_sec_per_core']:.1f} runs/s"
-        f"  exact {cohort['cohort_exact_runs_per_sec_per_core']:.1f}"
-        f" ({cohort['cohort_exact_speedup']:.2f}x)"
-        f"  block {cohort['cohort_block_runs_per_sec_per_core']:.1f}"
-        f" ({cohort['cohort_block_speedup']:.2f}x)"
+        f"  Simulator.run loop {cohort['serial_runs_per_sec_per_core']:.1f} runs/s"
+        f"  BatchRunner {cohort['batch_runs_per_sec_per_core']:.1f}"
+        f" ({cohort['batch_speedup']:.2f}x)"
     )
     print(
         f"  factorizations: first campaign"

@@ -9,10 +9,10 @@ Usage (what CI's perf-trajectory job runs)::
 Two kinds of checks, deliberately different in severity:
 
 * **Timing regressions are non-gating.** Absolute wall-clock depends on
-  the runner; a >20% median slowdown (or cohort-speedup loss) prints a
+  the runner; a >20% median slowdown (or batch-speedup loss) prints a
   GitHub ``::warning::`` annotation so it shows up on the PR, but the
   exit code stays 0.
-* **The algorithmic counters gate.** A warm cohort campaign performing
+* **The algorithmic counters gate.** A warm batch campaign performing
   any LU factorization means kernel sharing broke, and a cross-network
   krylov campaign factorizing as often as it has design points means
   neighbor-LU preconditioning broke — those are properties of the
@@ -22,6 +22,9 @@ Schema changes are tolerated in both directions: benchmarks present on
 only one side are reported as "new" / "not measured" instead of
 failing, and a missing ``cross_network`` (pre-v3), ``timing_breakdown``
 (pre-v4), or ``facility`` (pre-v5) section is a note, not an error.
+Cohort keys are compared only when both sides carry them, so a baseline
+that still holds the retired ``cohort_exact_*``/``cohort_block_*``
+measurements (before ``batch_speedup``) compares cleanly.
 """
 
 from __future__ import annotations
@@ -157,14 +160,12 @@ def compare(current: dict, baseline: dict) -> int:
 
     cur_cohort = current.get("cohort", {})
     base_cohort = baseline.get("cohort", {})
-    for key in ("cohort_exact_speedup", "cohort_block_speedup"):
-        base, cur = base_cohort.get(key), cur_cohort.get(key)
-        if base is None or cur is None:
-            continue
-        print(f"{key:32s} {base:9.2f}x  {cur:9.2f}x")
+    base, cur = base_cohort.get("batch_speedup"), cur_cohort.get("batch_speedup")
+    if base is not None and cur is not None:
+        print(f"{'batch_speedup':32s} {base:9.2f}x  {cur:9.2f}x")
         if cur < base * (1.0 - REGRESSION_THRESHOLD):
             warnings += 1
-            _warn(f"{key}: {cur:.2f}x vs baseline {base:.2f}x")
+            _warn(f"batch_speedup: {cur:.2f}x vs baseline {base:.2f}x")
 
     warnings += _compare_cross_network(
         current.get("cross_network"), baseline.get("cross_network")
@@ -186,7 +187,7 @@ def compare(current: dict, baseline: dict) -> int:
     elif refactor != 0:
         failures += 1
         print(
-            "::error title=perf gate::warm cohort campaign performed"
+            "::error title=perf gate::warm batch campaign performed"
             f" {refactor} LU factorizations (expected 0 — the shared"
             " kernel must factorize at most once per network)"
         )

@@ -1,8 +1,8 @@
 """Cross-network design sweeps with the krylov solver tier.
 
 A thermal design-space sweep changes the *network* at every point —
-different resistance scaling, conductivity, geometry — so same-network
-cohort batching cannot help and the exact tier pays a fresh sparse LU
+different resistance scaling, conductivity, geometry — so no two
+points share a factorization and the exact tier pays a fresh sparse LU
 per design point. ``solver="krylov"`` factorizes the first point it
 meets and steps every neighboring point with preconditioned GMRES off
 the nearest retained LU, agreeing with exact within
@@ -57,9 +57,7 @@ def campaign(solver: str):
     clear_system_memo()
     clear_neighbor_cache()
     before = factorization_count()
-    batch = BatchRunner(
-        neighborhood(solver), cohort="auto", cache=CharacterizationCache()
-    )
+    batch = BatchRunner(neighborhood(solver), cache=CharacterizationCache())
     runs = batch.run().runs
     return [run.result for run in runs], factorization_count() - before
 

@@ -3,10 +3,9 @@
 See :mod:`repro.runner.batch` for the design; the experiments layer
 (:func:`repro.experiments.common.run_matrix`), the ``repro batch`` CLI
 command, and ``benchmarks/bench_batch.py`` all route multi-run work
-through :class:`BatchRunner`. :mod:`repro.runner.cohort` adds
-thermal-cohort grouping — runs sharing one network advance through one
-shared numeric kernel (:class:`CohortRunner`, or ``cohort=`` on
-:class:`BatchRunner`).
+through :class:`BatchRunner`, which orders every batch by thermal
+cohort (:mod:`repro.runner.cohort`) so runs sharing one network reuse
+its memoized kernel back to back.
 """
 
 from repro.runner.batch import (
@@ -17,7 +16,6 @@ from repro.runner.batch import (
     reseeded,
 )
 from repro.runner.cohort import (
-    CohortRunner,
     cohort_signature,
     group_cohorts,
     structural_signature,
@@ -27,7 +25,6 @@ __all__ = [
     "BatchRunner",
     "BatchResult",
     "BatchRun",
-    "CohortRunner",
     "ReducedRun",
     "cohort_signature",
     "group_cohorts",

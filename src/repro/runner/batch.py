@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.errors import ConfigurationError
+from repro.runner.cohort import group_cohorts, split_cohort
 from repro.sim import engine
 from repro.sim.cache import CharacterizationCache
 from repro.sim.config import SimulationConfig
@@ -155,59 +156,35 @@ class ReducedRun:
 RunReducer = Callable[[Any, SimulationConfig, Any], Any]
 
 
-def _execute_one(
-    task: tuple[int, SimulationConfig, Optional[ThreadTrace]],
-) -> BatchRun:
-    """Run one configured simulation (worker side and serial path)."""
-    index, config, trace = task
-    start = time.perf_counter()
-    with _trace.span("run", index=index, policy=config.policy, solver=config.solver):
-        result = engine.Simulator(config, trace=trace).run()
-    return BatchRun(
-        index=index,
-        config=config,
-        result=result,
-        elapsed=time.perf_counter() - start,
-    )
-
-
 def _execute_group(
-    task: tuple[list[tuple], bool, Optional[RunReducer]],
+    task: tuple[list[tuple], Optional[RunReducer]],
 ) -> list:
-    """Run one task group (a cohort slice, or a singleton).
+    """Run one task group (a cohort or a slice of one) as a plain loop.
 
-    ``task`` is ``(group, block, reducer)`` with ``group`` a list of
-    ``(index, config, trace, tag)``. Multi-member groups share their
-    thermal kernel through :func:`repro.runner.cohort.execute_cohort`;
-    singletons take the plain path. With a reducer, results collapse
-    to :class:`ReducedRun` before leaving the process.
+    ``task`` is ``(group, reducer)`` with ``group`` a list of
+    ``(index, config, trace, tag)``. Each member builds its own
+    :class:`~repro.sim.engine.Simulator`, which is dropped before the
+    next one is built; members share only what the process-wide system
+    memo holds. With a reducer, each result collapses to a
+    :class:`ReducedRun` before leaving the process.
     """
-    group, block, reducer = task
-    if len(group) == 1:
-        index, config, trace, _ = group[0]
-        runs = [_execute_one((index, config, trace))]
-        _metrics.counter("runner.runs").inc(mode="single")
-    else:
-        from repro.runner.cohort import execute_cohort
-
-        runs = execute_cohort(
-            [(index, config, trace) for index, config, trace, _ in group],
-            block=block,
-        )
-        _metrics.counter("runner.runs").inc(
-            len(runs), mode="block" if block else "exact"
-        )
-    if reducer is None:
-        return runs
-    return [
-        ReducedRun(
-            index=run.index,
-            config=run.config,
-            payload=reducer(tag, run.config, run.result),
-            elapsed=run.elapsed,
-        )
-        for run, (_, _, _, tag) in zip(runs, group)
-    ]
+    group, reducer = task
+    items = []
+    with _trace.span("cohort.execute", n_members=len(group)):
+        for index, config, trace, tag in group:
+            start = time.perf_counter()
+            with _trace.span(
+                "run", index=index, policy=config.policy, solver=config.solver
+            ):
+                result = engine.Simulator(config, trace=trace).run()
+            elapsed = time.perf_counter() - start
+            if reducer is None:
+                items.append(BatchRun(index, config, result, elapsed))
+            else:
+                payload = reducer(tag, config, result)
+                items.append(ReducedRun(index, config, payload, elapsed))
+    _metrics.counter("runner.runs").inc(len(group))
+    return items
 
 
 def _execute_group_remote(task: tuple) -> tuple[list, dict]:
@@ -262,20 +239,13 @@ class BatchRunner:
         Pre-derive all needed characterizations in the parent before
         fanning out (strongly recommended for parallel runs: the
         artifacts are computed once instead of once per worker).
-    cohort:
-        Thermal-cohort grouping (see :mod:`repro.runner.cohort`):
-        ``"off"`` (the default — one task per run, the historical
-        behavior), ``"exact"``/``"auto"`` (group runs sharing a
-        thermal kernel and execute each cohort against one shared
-        system + steady init; bit-identical to ``"off"``), or
-        ``"block"`` (additionally batch same-setting solves into one
-        multi-RHS call — fastest, LU-roundoff-equivalent rather than
-        byte-identical). In parallel mode cohorts are split into
-        balanced per-worker slices so one big cohort still fills the
-        pool.
-    """
 
-    _COHORT_MODES = ("off", "auto", "exact", "block")
+    Runs are ordered by thermal cohort (see :mod:`repro.runner.cohort`)
+    so runs sharing a network execute back to back and reuse its
+    memoized factorizations and steady initial field; results still
+    come back in submission order, bit-identical to running each
+    config alone.
+    """
 
     def __init__(
         self,
@@ -284,16 +254,9 @@ class BatchRunner:
         max_workers: Optional[int] = None,
         cache: Optional[CharacterizationCache] = None,
         warm: bool = True,
-        cohort: str = "off",
     ) -> None:
         if not configs:
             raise ConfigurationError("a batch needs at least one config")
-        if cohort not in self._COHORT_MODES:
-            raise ConfigurationError(
-                f"unknown cohort mode {cohort!r}; expected one of "
-                f"{self._COHORT_MODES}"
-            )
-        self.cohort = "exact" if cohort == "auto" else cohort
         if traces is not None and len(traces) != len(configs):
             raise ConfigurationError(
                 f"got {len(traces)} traces for {len(configs)} configs"
@@ -313,8 +276,12 @@ class BatchRunner:
 
     @classmethod
     def suggested_workers(cls) -> int:
-        """A sensible default worker count for this machine."""
-        return max(1, os.cpu_count() or 1)
+        """A sensible default worker count: the cores this process may
+        run on (its CPU affinity), not the host total."""
+        try:
+            return max(1, len(os.sched_getaffinity(0)))
+        except AttributeError:  # platforms without sched_getaffinity
+            return max(1, os.cpu_count() or 1)
 
     def warm_cache(self) -> float:
         """Pre-warm the cache for every config; returns elapsed seconds."""
@@ -325,22 +292,16 @@ class BatchRunner:
     def _plan_groups(self) -> list[list[int]]:
         """The task groups this batch executes, as index lists.
 
-        Cohort off: one singleton per run. Cohort on: the
-        :func:`repro.runner.cohort.group_cohorts` partition, with each
-        cohort further split into balanced slices in parallel mode so
-        a single large cohort still occupies every worker (exact-mode
-        members are independent, so slicing never changes results).
+        The :func:`repro.runner.cohort.group_cohorts` partition, with
+        each cohort further split into balanced slices in parallel mode
+        so a single large cohort still occupies every worker (members
+        are independent runs, so slicing never changes results).
         Groups are ordered by first member; members keep submission
         order.
         """
-        if self.cohort == "off":
-            return [[i] for i in range(len(self.configs))]
-        from repro.runner.cohort import group_cohorts, split_cohort
-
         # neighbors=True: krylov-solver configs differing only in
         # thermal_params group into one cohort so they execute back to
-        # back and reuse each other's preconditioner LUs; exact-solver
-        # configs partition exactly as before.
+        # back and reuse each other's preconditioner LUs.
         groups = group_cohorts(self.configs, neighbors=True)
         if self.max_workers > 1:
             groups = [
@@ -364,20 +325,21 @@ class BatchRunner:
         """
         if self.warm:
             self.warm_cache()
-        block = self.cohort == "block"
-        groups = [
-            [
-                (
-                    i,
-                    self.configs[i],
-                    self.traces[i],
-                    None if tags is None else tags[i],
-                )
-                for i in members
-            ]
+        tasks = [
+            (
+                [
+                    (
+                        i,
+                        self.configs[i],
+                        self.traces[i],
+                        None if tags is None else tags[i],
+                    )
+                    for i in members
+                ],
+                reducer,
+            )
             for members in self._plan_groups()
         ]
-        tasks = [(group, block, reducer) for group in groups]
         buffered: dict[int, Any] = {}
         emit_next = 0
 

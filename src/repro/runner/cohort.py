@@ -1,60 +1,36 @@
-"""Cohort execution: many runs, one thermal network, one numeric kernel.
+"""Cohort planning: order a batch so runs sharing a thermal kernel
+execute back to back.
 
 A sweep over policies, controllers, workloads, or seeds revisits the
 *same* 3D stack run after run — every config maps to one assembled
 :class:`~repro.sim.system.ThermalSystem` and its cached LU
 factorizations. This module groups a batch's configs by that identity
-(:func:`cohort_signature`) and executes each cohort against a single
-shared system:
+(:func:`cohort_signature`). :class:`repro.runner.BatchRunner` executes
+each group as a plain loop of independent runs; grouping only decides
+the run order, so consecutive runs hit the process-wide system memo:
 
-* the steady-state initialization (the paper starts every run "with
-  steady state temperature values", a leakage fixed-point costing six
-  sparse solves) is computed once per distinct initial condition and
-  installed into every member via
-  :meth:`~repro.sim.engine.Simulator.set_initial_temperatures`;
-* the assembled networks and LU factorizations are shared through the
-  process-wide system memo, so a cohort factorizes each (setting, dt)
-  system at most once however many members step through it;
-* per-run state — scheduler queues, DPM, controller, forecaster,
-  workload trace, recorders — stays fully independent per member.
+* the assembled networks and LU factorizations, so a cohort factorizes
+  each (setting, dt) system at most once however many members step
+  through it;
+* the steady initial field (the paper starts every run "with steady
+  state temperature values", a leakage fixed point costing six sparse
+  solves), memoized per ``(utilization, initial pump setting)`` in the
+  system's memo entry;
+* for ``solver="krylov"`` neighbor cohorts, the preconditioner LU pool.
 
-Two execution modes:
-
-``exact`` (the default)
-    Every member performs its own per-column ``TransientSolver.step``
-    against the shared LU. Bit-identical to serial execution by
-    construction: the same float operations in the same order per run.
-    This is the mode :class:`repro.sweep.SweepRunner` and the
-    distributed workers route through.
-
-``block``
-    Members are stepped per control interval in lockstep
-    (:meth:`~repro.sim.engine.Simulator.step_begin` /
-    :meth:`~repro.sim.engine.Simulator.step_finish`), and all members
-    at the same pump setting advance through one multi-RHS
-    :meth:`~repro.thermal.solver.TransientSolver.step_many` solve.
-    Fastest, but SuperLU's blocked multi-RHS kernels round differently
-    than its single-vector path (~1e-14 K), so block results are
-    LU-roundoff-equivalent to serial, not byte-identical — which is
-    why it is opt-in and never the default for checkpointed sweeps.
+Per-run state — scheduler queues, DPM, controller, forecaster,
+workload trace, recorders — is never shared, so results are
+bit-identical to running each config alone.
 """
 
 from __future__ import annotations
 
-import time
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from repro.sim import engine
 from repro.sim.cache import _system_memo_key
 from repro.sim.config import SimulationConfig
 from repro.telemetry import trace as _trace
 from repro.thermal.rc_network import ThermalParams
-from repro.workload.generator import ThreadTrace
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (batch imports us)
-    from repro.runner.batch import BatchRun
 
 
 def cohort_signature(config: SimulationConfig) -> tuple:
@@ -106,9 +82,7 @@ def group_cohorts(
     only in ``thermal_params`` values land in one *neighbor cohort*
     and share the preconditioner pool (and the in-process LRU caches)
     by running back to back. Exact-solver configs always group by the
-    full :func:`cohort_signature` — the default partition is unchanged,
-    which keeps the byte-identity guarantee of exact mode trivially
-    intact.
+    full :func:`cohort_signature`.
     """
     with _trace.span(
         "cohort.plan", n_configs=len(configs), neighbors=neighbors
@@ -128,7 +102,7 @@ def split_cohort(members: list[int], parts: int) -> list[list[int]]:
     """Split one cohort into up to ``parts`` balanced, ordered slices.
 
     The parallel batch path uses this so a single large cohort still
-    occupies every pool worker; exact-mode members are independent, so
+    occupies every pool worker; members are independent runs, so
     slicing never changes results. Slice sizes differ by at most one
     and concatenate back to ``members``.
     """
@@ -140,152 +114,3 @@ def split_cohort(members: list[int], parts: int) -> list[list[int]]:
         out.append(members[at:at + size])
         at += size
     return out
-
-
-def _share_initial_state(sims: Sequence[engine.Simulator]) -> None:
-    """Compute each distinct steady initial field once, install it in
-    every member that starts from it (bit-identical to each member
-    solving for itself — same system instance, same LU, same ops)."""
-    fields: dict[tuple, np.ndarray] = {}
-    for sim in sims:
-        key = sim.initial_condition_key()
-        if key not in fields:
-            fields[key] = sim.steady_initial_temperatures()
-        sim.set_initial_temperatures(fields[key])
-
-
-def _run_block(sims: Sequence[engine.Simulator]) -> None:
-    """Step all members per control interval, batching same-setting
-    solves into one multi-RHS call against the shared LU."""
-    active = [sim for sim in sims if not sim.finished]
-    while active:
-        pendings = [(sim, sim.step_begin()) for sim in active]
-        by_setting: dict[int, list] = {}
-        for sim, pending in pendings:
-            by_setting.setdefault(pending.setting, []).append((sim, pending))
-        for setting, members in by_setting.items():
-            system = members[0][0].system
-            dt = members[0][0].config.sampling_interval
-            solver = system.transient_solver(setting, dt)
-            if len(members) == 1:
-                sim, pending = members[0]
-                solved = solver.step(pending.temperatures, pending.node_power)
-                sim.step_finish(pending, solved)
-            else:
-                temps = np.stack(
-                    [pending.temperatures for _, pending in members], axis=1
-                )
-                powers = np.stack(
-                    [pending.node_power for _, pending in members], axis=1
-                )
-                out = solver.step_many(temps, powers)
-                for j, (sim, pending) in enumerate(members):
-                    sim.step_finish(
-                        pending, np.ascontiguousarray(out[:, j])
-                    )
-        active = [sim for sim in active if not sim.finished]
-
-
-def execute_cohort(
-    tasks: Sequence[tuple[int, SimulationConfig, Optional[ThreadTrace]]],
-    block: bool = False,
-) -> "list[BatchRun]":
-    """Execute one cohort of same-signature configs; returns
-    :class:`~repro.runner.batch.BatchRun` entries in task order.
-
-    Singleton cohorts fall back to the plain serial path (nothing to
-    share beyond what the system memo already provides). Per-run
-    ``elapsed`` is the cohort's wall time split evenly — members
-    advance through shared solves, so finer attribution would be
-    arbitrary.
-    """
-    from repro.runner.batch import BatchRun
-
-    start = time.perf_counter()
-    with _trace.span(
-        "cohort.execute", n_members=len(tasks), mode="block" if block else "exact"
-    ):
-        sims = _execute_cohort_sims(tasks, block)
-    elapsed = (time.perf_counter() - start) / len(sims)
-    return [
-        BatchRun(index=index, config=config, result=sim.result(), elapsed=elapsed)
-        for (index, config, _), sim in zip(tasks, sims)
-    ]
-
-
-def _execute_cohort_sims(
-    tasks: Sequence[tuple[int, SimulationConfig, Optional[ThreadTrace]]],
-    block: bool,
-) -> "list[engine.Simulator]":
-    sims = [
-        engine.Simulator(config, trace=trace) for _, config, trace in tasks
-    ]
-    if len(sims) > 1:
-        # A neighbor cohort (krylov mode) mixes members whose networks
-        # differ in thermal-parameter values; initial-state sharing and
-        # block stepping are only valid between members with identical
-        # kernels, so both operate per full-signature subgroup. A
-        # uniform cohort is one subgroup — the historical behavior,
-        # bit for bit.
-        subgroups: dict[tuple, list[engine.Simulator]] = {}
-        for sim, (_, config, _) in zip(sims, tasks):
-            subgroups.setdefault(cohort_signature(config), []).append(sim)
-        for members in subgroups.values():
-            if len(members) > 1:
-                _share_initial_state(members)
-        if block:
-            for members in subgroups.values():
-                _run_block(members)
-        else:
-            for sim in sims:
-                sim.run()
-    else:
-        sims[0].run()
-    return sims
-
-
-class CohortRunner:
-    """Batch execution with cohort grouping always on.
-
-    A thin, discoverable face over :class:`repro.runner.BatchRunner`'s
-    cohort mode: ``CohortRunner(configs).run()`` groups the configs by
-    :func:`cohort_signature`, shares each cohort's thermal kernel, and
-    returns a normal :class:`~repro.runner.batch.BatchResult` in
-    submission order — byte-identical to ``BatchRunner(configs).run()``
-    unless ``block=True`` trades bitwise identity for the multi-RHS
-    kernel.
-    """
-
-    def __init__(
-        self,
-        configs: Sequence[SimulationConfig],
-        traces: Optional[Sequence[Optional[ThreadTrace]]] = None,
-        max_workers: Optional[int] = None,
-        cache=None,
-        warm: bool = True,
-        block: bool = False,
-    ) -> None:
-        from repro.runner.batch import BatchRunner
-
-        self._batch = BatchRunner(
-            configs,
-            traces=traces,
-            max_workers=max_workers,
-            cache=cache,
-            warm=warm,
-            cohort="block" if block else "exact",
-        )
-
-    @property
-    def cohorts(self) -> list[list[int]]:
-        """The cohort partition of the submitted configs."""
-        return group_cohorts(self._batch.configs)
-
-    def iter_runs(self):
-        """Stream completed runs in submission order (see
-        :meth:`repro.runner.BatchRunner.iter_runs`)."""
-        return self._batch.iter_runs()
-
-    def run(self):
-        """Execute every cohort; results in submission order."""
-        return self._batch.run()

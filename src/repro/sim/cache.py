@@ -25,6 +25,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterable, Optional
 
+import numpy as np
+
 from repro.control.flow_table import FlowRateTable
 from repro.geometry.stack import CoolingKind
 from repro.power.components import PowerModel
@@ -57,19 +59,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
 
 _system_memo: "OrderedDict[tuple, tuple]" = OrderedDict()
 _SYSTEM_MEMO_CAPACITY = 4
-"""Process-local LRU of (ThermalSystem, PowerModel) pairs keyed by
-their config identity. Simulators for the same system share assembled
-networks and LU factorizations — sweep/batch runs that revisit a
-configuration skip the per-run assembly+factorization cost entirely.
-Safe to share: ThermalSystem holds no per-run mutable state (pump
-state, controllers, and queues live in the Simulator), and a rebuilt
-system is bit-identical to a cached one (canonical assembly +
+"""Process-local LRU of ``(ThermalSystem, PowerModel, initial fields)``
+entries keyed by their config identity. Simulators for the same system
+share assembled networks, LU factorizations and steady initial fields
+(see :func:`steady_initial_field`) — sweep/batch runs that revisit a
+configuration skip the per-run assembly, factorization and steady
+solves entirely. Safe to share: ThermalSystem holds no per-run mutable
+state (pump state, controllers, and queues live in the Simulator), and
+a rebuilt system is bit-identical to a cached one (canonical assembly +
 deterministic factorization), so results never depend on memo hits.
 The small capacity bounds resident LU memory at paper-scale grids."""
 
 
 def clear_system_memo() -> None:
-    """Drop all memoized thermal systems (frees their factorizations)."""
+    """Drop all memoized thermal systems (frees their factorizations
+    and initial fields)."""
     _system_memo.clear()
 
 
@@ -107,7 +111,7 @@ def system_for(config: SimulationConfig) -> tuple["ThermalSystem", "PowerModel"]
     if hit is not None:
         _system_memo.move_to_end(key)
         _SYSTEM_HITS.inc()
-        return hit
+        return hit[0], hit[1]
     _SYSTEM_MISSES.inc()
     cooling = (
         CoolingKind.AIR if config.cooling is CoolingMode.AIR else CoolingKind.LIQUID
@@ -120,11 +124,39 @@ def system_for(config: SimulationConfig) -> tuple["ThermalSystem", "PowerModel"]
         params=config.thermal_params,
         solver=config.solver,
     )
-    pair = (system, PowerModel(system.stack, leakage=LeakageModel()))
-    _system_memo[key] = pair
+    power_model = PowerModel(system.stack, leakage=LeakageModel())
+    _system_memo[key] = (system, power_model, {})
     while len(_system_memo) > _SYSTEM_MEMO_CAPACITY:
         _system_memo.popitem(last=False)
-    return pair
+    return system, power_model
+
+
+def steady_initial_field(
+    config: SimulationConfig,
+    system: "ThermalSystem",
+    power_model: "PowerModel",
+    setting_index: int,
+) -> np.ndarray:
+    """The steady temperature field a run of ``config`` starts from.
+
+    Memoized in ``system``'s memo entry per ``(utilization,
+    setting_index)``, so the leakage fixed point runs once per system
+    and initial condition rather than once per run. The stored field is
+    read-only and is dropped with its entry (LRU eviction or
+    :func:`clear_system_memo`). A system that is not the memoized one
+    for ``config`` gets a fresh, unshared solve.
+    """
+    utilization = config.spec.utilization
+    entry = _system_memo.get(_system_memo_key(config))
+    fields = entry[2] if entry is not None and entry[0] is system else {}
+    key = (utilization, setting_index)
+    if key not in fields:
+        field = system.initial_temperatures(
+            power_model, utilization, setting_index=setting_index
+        )
+        field.setflags(write=False)
+        fields[key] = field
+    return fields[key]
 
 
 def system_key(

@@ -59,7 +59,11 @@ from repro.registry import (
 )
 from repro.sched.base import CoreQueues
 from repro.sched.weights import ThermalWeights
-from repro.sim.cache import CharacterizationCache, system_for
+from repro.sim.cache import (
+    CharacterizationCache,
+    steady_initial_field,
+    system_for,
+)
 from repro.sim.config import CoolingMode, SimulationConfig
 from repro.sim.results import SimulationResult
 from repro.sim.system import ThermalSystem
@@ -185,10 +189,8 @@ class PendingInterval:
     power model (stages 1-2) and returns this: everything the thermal
     solve needs, with the solve itself left to the caller. Feeding the
     solved field to :meth:`Simulator.step_finish` completes the
-    interval (stages 4-6). The cohort runner uses the split to batch
-    many runs' solves into one multi-RHS call against the shared LU;
-    :meth:`Simulator.step` composes the same pieces with a per-run
-    solve.
+    interval (stages 4-6); :meth:`Simulator.step` composes the two
+    around a per-run solve.
 
     Attributes
     ----------
@@ -337,7 +339,6 @@ class Simulator:
                 "(use facility='none')"
             )
         self._state: Optional[_RunState] = None
-        self._initial_temperatures: Optional[np.ndarray] = None
         self._pending = False
 
     def add_observer(self, observer: IntervalObserver) -> None:
@@ -372,42 +373,6 @@ class Simulator:
         """Whether every configured interval has executed."""
         return self.intervals_completed >= self.interval_count
 
-    # --- shared steady-state initialization --------------------------------
-
-    def initial_condition_key(self) -> tuple:
-        """Identity of the steady-state field this run starts from.
-
-        Two simulators of one cohort (same :class:`ThermalSystem`) with
-        equal keys start from bit-identical initial fields, so the
-        cohort runner computes the steady solve once per key and
-        installs it with :meth:`set_initial_temperatures`.
-        """
-        setting0 = self._pump_state.current_index if self._pump_state else -1
-        return (self.config.spec.utilization, setting0)
-
-    def steady_initial_temperatures(self) -> np.ndarray:
-        """The steady-state initial field — exactly the computation the
-        first :meth:`step` performs when nothing was injected."""
-        setting0 = self._pump_state.current_index if self._pump_state else -1
-        return self.system.initial_temperatures(
-            self.power_model, self.config.spec.utilization, setting_index=setting0
-        )
-
-    def set_initial_temperatures(self, temperatures: np.ndarray) -> None:
-        """Install a pre-computed steady-state initial field.
-
-        Must equal what :meth:`steady_initial_temperatures` would
-        return (same system, utilization, initial pump setting) — the
-        cohort runner shares one steady solve across runs this way,
-        keeping results bit-identical to each run solving for itself.
-        Only valid before the first step.
-        """
-        if self._state is not None:
-            raise ConfigurationError(
-                "initial temperatures must be installed before the first step"
-            )
-        self._initial_temperatures = np.array(temperatures, dtype=float, copy=True)
-
     def _ensure_state(self) -> _RunState:
         if self._state is not None:
             return self._state
@@ -423,13 +388,10 @@ class Simulator:
         st.dpm = DpmPolicy(core_names, enabled=config.dpm_enabled)
         st.spec = config.spec
 
-        if self._initial_temperatures is not None:
-            st.temperatures = self._initial_temperatures
-        else:
-            setting0 = self._pump_state.current_index if self._pump_state else -1
-            st.temperatures = self.system.initial_temperatures(
-                self.power_model, st.spec.utilization, setting_index=setting0
-            )
+        setting0 = self._pump_state.current_index if self._pump_state else -1
+        st.temperatures = steady_initial_field(
+            config, self.system, self.power_model, setting0
+        )
         # Vector-native per-interval state: unit/core temperatures live
         # in arrays aligned to the grid's stable unit ordering; the
         # small per-core dict is rebuilt only for the policy interface.
@@ -481,8 +443,7 @@ class Simulator:
         """Stages 1-2 of one control interval: scheduler quanta + power.
 
         Returns the thermal solve's inputs; the caller performs the
-        backward-Euler step — alone, or batched across a cohort sharing
-        this system's LU — and hands the solved field to
+        backward-Euler step and hands the solved field to
         :meth:`step_finish`. :meth:`step` is the fused per-run form.
         """
         with _trace.span("step_begin") as sb_span:
@@ -581,8 +542,7 @@ class Simulator:
             # enters the ODE only through the (linear) boundary term,
             # so the change is folded into the right-hand side here —
             # the memoized network and its factorization are reused
-            # untouched, on the fused, cohort-batched, and krylov solve
-            # paths alike.
+            # untouched, on the exact and krylov solve paths alike.
             inlet_temperature = self._facility.inlet_temperature
             delta = self.system.network(setting).inlet_boundary_delta(
                 inlet_temperature
@@ -607,9 +567,7 @@ class Simulator:
         """Stages 4-6: sensors, forecast, control, rebalance, record.
 
         ``new_temperatures`` is the solved field for ``pending`` (what
-        ``transient_solver(pending.setting, dt).step(...)`` returns, or
-        one column of the cohort's :meth:`~repro.thermal.solver.
-        TransientSolver.step_many` block).
+        ``transient_solver(pending.setting, dt).step(...)`` returns).
         """
         with _trace.span("step_finish", index=pending.index):
             return self._step_finish_impl(pending, new_temperatures)

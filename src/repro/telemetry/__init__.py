@@ -21,7 +21,7 @@ Typical use::
 
 Metric naming convention: dotted ``subsystem.event`` names
 (``solver.factorizations``, ``cache.characterization.hits``), labels
-for dimensions (``tier=krylov``, ``mode=block``); span-derived timers
+for dimensions (``tier=krylov``, ``kind=table``); span-derived timers
 are automatically published as ``span.<name>``.
 """
 

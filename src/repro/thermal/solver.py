@@ -33,7 +33,7 @@ _FACTORIZATIONS = _metrics.counter("solver.factorizations")
 """Monotonic count of sparse LU factorizations this process has
 performed (steady + transient), kept in the process-wide
 :mod:`repro.telemetry` registry (thread-safe increments). Factorizing
-is the expensive, cacheable step — a batched cohort campaign must hit
+is the expensive, cacheable step — a warm batch campaign must hit
 each distinct (network, dt) system exactly once, and
 ``benchmarks/bench_hotpath.py`` plus the CI perf job gate on deltas of
 this counter rather than on wall-clock."""
@@ -159,8 +159,8 @@ class TransientSolver:
         returns the same shape. One multi-RHS triangular solve;
         columns agree with separate :meth:`step` calls to within LU
         roundoff (~1e-14 K — SuperLU uses blocked kernels for multiple
-        right-hand sides), which is why the cohort runner's bitwise
-        default steps per column and this path is opt-in.
+        right-hand sides), so the simulator steps per run with
+        :meth:`step` instead.
         """
         temperatures = np.asarray(temperatures, dtype=float)
         powers = np.asarray(powers, dtype=float)

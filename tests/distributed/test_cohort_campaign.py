@@ -1,7 +1,11 @@
 """Cohorts inside distributed campaigns: a shard whose runs share one
 thermal network executes as a cohort, and a worker killed mid-cohort is
-reclaimed with a byte-identical merge — cohort execution is invisible
-in the journals and in the merged outputs."""
+reclaimed with a byte-identical merge — cohort ordering is invisible
+in the journals and in the merged outputs, which match a plain
+``Simulator.run`` loop byte for byte."""
+
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,10 @@ from repro.io.dist import try_claim_lease
 from repro.runner import group_cohorts
 from repro.sim.cache import CharacterizationCache
 from repro.sim.config import SimulationConfig
-from repro.sweep import SweepRunner, SweepSpec, aggregator_from_spec
+from repro.sweep import SweepSpec, aggregator_from_spec
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from helpers import export_outputs, simulator_loop
 
 
 def cohort_spec(name="dist-cohort"):
@@ -33,29 +40,18 @@ def cohort_spec(name="dist-cohort"):
 
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
-    """The single-host serial run every campaign must reproduce."""
-    root = tmp_path_factory.mktemp("cohort-reference")
-    result = SweepRunner(
-        cohort_spec(), csv_path=root / "ref.csv", cohort="off"
-    ).run()
-    result.save_json(root / "ref.json")
-    return {
-        "rows": result.rows,
-        "agg_rows": [a.rows() for a in result.aggregators],
-        "json": (root / "ref.json").read_bytes(),
-        "csv": (root / "ref.csv").read_bytes(),
-    }
+    """The plain ``Simulator.run`` loop every campaign must reproduce."""
+    _, outputs = simulator_loop(
+        cohort_spec(), tmp_path_factory.mktemp("cohort-reference")
+    )
+    return outputs
 
 
 def _assert_matches_reference(tmp_path, campaign_dir, reference):
     merged = merge_campaign(campaign_dir)
     assert merged.complete
-    assert merged.rows == reference["rows"]
-    assert [a.rows() for a in merged.aggregators] == reference["agg_rows"]
-    merged.save_json(tmp_path / "dist.json")
     merged.save_csv(tmp_path / "dist.csv")
-    assert (tmp_path / "dist.json").read_bytes() == reference["json"]
-    assert (tmp_path / "dist.csv").read_bytes() == reference["csv"]
+    assert export_outputs(merged, tmp_path / "dist") == reference
 
 
 class TestCohortingShard:
@@ -81,12 +77,6 @@ class TestCohortingShard:
         camp = tmp_path / "camp"
         plan_campaign(cohort_spec(), camp, chunk_size=3)
         run_worker(camp, worker_id="w1")
-        _assert_matches_reference(tmp_path, camp, reference)
-
-    def test_cohort_off_worker_matches_too(self, tmp_path, reference):
-        camp = tmp_path / "camp"
-        plan_campaign(cohort_spec(), camp, chunk_size=4)
-        run_worker(camp, worker_id="w1", cohort="off")
         _assert_matches_reference(tmp_path, camp, reference)
 
 

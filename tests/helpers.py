@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 
+from repro.io.sweep import sweep_row, write_sweep_csv
+from repro.sim.engine import Simulator
 from repro.sim.results import SimulationResult
+from repro.sweep.aggregate import default_aggregators
+from repro.sweep.runner import SweepResult
 
 
 def make_result(
@@ -44,3 +51,51 @@ def make_result(
         forecast_tmax=np.full(n, np.nan),
         migrations=np.zeros(n, dtype=int),
     )
+
+
+def assert_results_identical(a: SimulationResult, b: SimulationResult) -> None:
+    """Bitwise equality of every field of two results (NaN == NaN)."""
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            np.testing.assert_array_equal(x, y, err_msg=field.name)
+        else:
+            assert x == y, field.name
+
+
+def export_outputs(result, stem: Path) -> dict:
+    """Rows, aggregate rows and export bytes of a finished sweep or
+    merge: writes its JSON to ``stem.json`` and reads back that and the
+    CSV at ``stem.csv``."""
+    result.save_json(stem.with_suffix(".json"))
+    return {
+        "rows": result.rows,
+        "agg_rows": [agg.rows() for agg in result.aggregators],
+        "json": stem.with_suffix(".json").read_bytes(),
+        "csv": stem.with_suffix(".csv").read_bytes(),
+    }
+
+
+def simulator_loop(spec, directory: Path) -> tuple[list[SimulationResult], dict]:
+    """The plain reference for a sweep spec: one ``Simulator(config).run()``
+    per point, folded in order with the default aggregators. Returns the
+    results and their :func:`export_outputs`."""
+    aggregators = default_aggregators()
+    results, rows = [], []
+    for point in spec.iter_points():
+        result = Simulator(point.config).run()
+        results.append(result)
+        rows.append(sweep_row(point.index, point.key, point.config, result))
+        for agg in aggregators:
+            agg.update(point.config, result)
+    write_sweep_csv(rows, directory / "ref.csv")
+    reference = SweepResult(
+        name=spec.name,
+        fingerprint=spec.fingerprint(),
+        n_runs=spec.run_count,
+        folded=len(rows),
+        resumed=0,
+        rows=rows,
+        aggregators=aggregators,
+    )
+    return results, export_outputs(reference, directory / "ref")

@@ -1,6 +1,7 @@
 """Batch runner: parallel/serial equivalence, ordering, and export."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -129,6 +130,18 @@ class TestValidation:
     def test_workers_capped_at_batch_size(self):
         runner = BatchRunner(_configs(), max_workers=64)
         assert runner.max_workers == 3
+
+    def test_suggested_workers_counts_usable_cores(self, monkeypatch):
+        """An affinity-restricted process gets its usable cores, not
+        the host total."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert BatchRunner.suggested_workers() == 1
+
+    def test_suggested_workers_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert BatchRunner.suggested_workers() == 3
 
 
 class TestReseeding:

@@ -1,19 +1,17 @@
-"""Cohort execution: grouping partitions any expansion, kernels are
-shared (no re-factorization), and exact mode is byte-identical to the
-serial per-run path."""
+"""Cohort planning: grouping partitions any expansion, runs that
+execute back to back share kernels (no re-factorization), and a batch
+is byte-identical to a plain ``Simulator.run`` loop (through the sweep
+layer too, in ``tests/sweep/test_cohort_sweep.py``)."""
 
-import numpy as np
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.runner import (
-    BatchRunner,
-    CohortRunner,
-    cohort_signature,
-    group_cohorts,
-)
+from repro.runner import BatchRunner, cohort_signature, group_cohorts
 from repro.runner.cohort import split_cohort
 from repro.sim import engine
 from repro.sim.cache import CharacterizationCache, clear_system_memo
@@ -21,24 +19,8 @@ from repro.sim.config import CoolingMode, SimulationConfig
 from repro.sweep import SweepSpec
 from repro.thermal.solver import factorization_count
 
-RESULT_ARRAYS = (
-    "times", "tmax", "tmax_cell", "core_temperatures", "unit_temperatures",
-    "chip_power", "pump_power", "flow_setting", "completed_threads",
-    "forecast_tmax", "migrations",
-)
-
-
-def assert_results_identical(a, b):
-    """Bitwise equality of two SimulationResults (NaN == NaN)."""
-    for name in RESULT_ARRAYS:
-        np.testing.assert_array_equal(
-            getattr(a, name), getattr(b, name), err_msg=name
-        )
-    assert a.unit_names == b.unit_names
-    assert a.core_names == b.core_names
-    assert a.retrain_count == b.retrain_count
-    assert a.sojourn_sum == b.sojourn_sum
-    assert a.sojourn_count == b.sojourn_count
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from helpers import assert_results_identical
 
 
 def policy_seed_configs(n=4, duration=0.5, **overrides):
@@ -127,7 +109,7 @@ class TestGroupingPartition:
         configs = [
             SimulationConfig(nx=nx, ny=nx, duration=0.3) for nx in (6, 8, 10)
         ]
-        batch = BatchRunner(configs, cohort="exact")
+        batch = BatchRunner(configs)
         assert batch._plan_groups() == [[0], [1], [2]]
 
     def test_split_cohort_is_balanced_and_ordered(self):
@@ -138,10 +120,6 @@ class TestGroupingPartition:
             sizes = [len(part) for part in slices]
             assert max(sizes) - min(sizes) <= 1
             assert len(slices) == min(parts, len(members))
-
-    def test_unknown_cohort_mode_rejected(self):
-        with pytest.raises(ConfigurationError, match="cohort mode"):
-            BatchRunner(policy_seed_configs(1), cohort="banana")
 
 
 class TestTwoPhaseStep:
@@ -173,64 +151,41 @@ class TestTwoPhaseStep:
         with pytest.raises(ConfigurationError, match="pending"):
             sim.step_finish(pending, pending.temperatures)
 
-    def test_shared_initial_state_is_bitwise(self):
-        config = SimulationConfig(duration=0.5, nx=12, ny=12)
-        plain = engine.Simulator(config)
-        injected = engine.Simulator(config)
-        injected.set_initial_temperatures(
-            injected.steady_initial_temperatures()
-        )
-        assert_results_identical(plain.run(), injected.run())
 
-    def test_set_initial_after_start_raises(self):
-        sim = engine.Simulator(SimulationConfig(duration=0.5, nx=8, ny=8))
-        sim.step()
-        with pytest.raises(ConfigurationError, match="before the first step"):
-            sim.set_initial_temperatures(np.zeros(3))
+def simulator_runs(configs):
+    """The plain reference: one ``Simulator(config).run()`` per config."""
+    return [engine.Simulator(config).run() for config in configs]
 
 
 class TestCohortByteIdentity:
     def test_exact_cohort_equals_serial(self):
         configs = policy_seed_configs(6)
-        serial = BatchRunner(configs, cohort="off").run()
-        cohort = CohortRunner(configs).run()
-        assert [r.index for r in cohort.runs] == list(range(len(configs)))
-        for a, b in zip(serial.runs, cohort.runs):
-            assert_results_identical(a.result, b.result)
+        expected = simulator_runs(configs)
+        batch = BatchRunner(configs).run()
+        assert [r.index for r in batch.runs] == list(range(len(configs)))
+        for result, run in zip(expected, batch.runs):
+            assert_results_identical(result, run.result)
 
     def test_exact_cohort_equals_serial_parallel(self):
         configs = policy_seed_configs(4, duration=0.3)
-        serial = BatchRunner(configs, cohort="off").run()
-        cohort = BatchRunner(configs, cohort="auto", max_workers=2).run()
-        for a, b in zip(serial.runs, cohort.runs):
-            assert_results_identical(a.result, b.result)
+        expected = simulator_runs(configs)
+        batch = BatchRunner(configs, max_workers=2).run()
+        assert [r.index for r in batch.runs] == list(range(len(configs)))
+        for result, run in zip(expected, batch.runs):
+            assert_results_identical(result, run.result)
 
     def test_mixed_networks_partition_and_match(self):
-        """Two interleaved cohorts plus a singleton, exact vs serial."""
+        """Two interleaved cohorts plus a singleton, batch vs plain loop."""
         configs = []
         for seed in (0, 1):
             configs.append(SimulationConfig(seed=seed, nx=12, ny=12, duration=0.4))
             configs.append(SimulationConfig(seed=seed, nx=8, ny=8, duration=0.4))
         configs.append(SimulationConfig(cooling=CoolingMode.AIR, nx=8, ny=8, duration=0.4))
         assert [len(c) for c in group_cohorts(configs)] == [2, 2, 1]
-        serial = BatchRunner(configs, cohort="off").run()
-        cohort = CohortRunner(configs).run()
-        for a, b in zip(serial.runs, cohort.runs):
-            assert_results_identical(a.result, b.result)
-
-    def test_block_mode_is_lu_roundoff_equivalent(self):
-        configs = policy_seed_configs(6)
-        serial = BatchRunner(configs, cohort="off").run()
-        block = CohortRunner(configs, block=True).run()
-        for a, b in zip(serial.runs, block.runs):
-            np.testing.assert_allclose(
-                a.result.unit_temperatures,
-                b.result.unit_temperatures,
-                rtol=0, atol=1e-6,
-            )
-            np.testing.assert_allclose(
-                a.result.tmax, b.result.tmax, rtol=0, atol=1e-6
-            )
+        expected = simulator_runs(configs)
+        batch = BatchRunner(configs).run()
+        for result, run in zip(expected, batch.runs):
+            assert_results_identical(result, run.result)
 
 
 class TestFactorizationSharing:
@@ -239,9 +194,9 @@ class TestFactorizationSharing:
         zero LU factorizations — every (network, dt) system is hit at
         most once per process, however many runs step through it."""
         configs = policy_seed_configs(8, duration=0.3)
-        CohortRunner(configs).run()
+        BatchRunner(configs).run()
         before = factorization_count()
-        CohortRunner(configs).run()
+        BatchRunner(configs).run()
         assert factorization_count() == before
 
     def test_cold_factorizations_independent_of_cohort_size(self):
@@ -253,7 +208,7 @@ class TestFactorizationSharing:
             clear_system_memo()
             configs = policy_seed_configs(n, duration=0.3, cooling=CoolingMode.LIQUID_MAX)
             before = factorization_count()
-            CohortRunner(configs, cache=CharacterizationCache()).run()
+            BatchRunner(configs, cache=CharacterizationCache()).run()
             return factorization_count() - before
 
         assert cold_count(8) == cold_count(2)

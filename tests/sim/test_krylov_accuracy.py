@@ -54,9 +54,7 @@ def _campaign(solver: str):
     clear_neighbor_cache()
     before_f = factorization_count()
     before_s = krylov_stats()
-    batch = BatchRunner(
-        _sweep_configs(solver), cohort="auto", cache=CharacterizationCache()
-    )
+    batch = BatchRunner(_sweep_configs(solver), cache=CharacterizationCache())
     results = [run.result for run in batch.run().runs]
     stats = {
         key: value - before_s[key] for key, value in krylov_stats().items()

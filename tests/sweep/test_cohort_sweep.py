@@ -1,100 +1,124 @@
-"""Cohort execution through the sweep layer is byte-identical to the
-serial per-run path — aggregates, CSV, and completion JSON — for
-grid/zip/points sweeps, with or without payload-only transport.
+"""Cohort-ordered batch execution is byte-identical to the plain
+reference — one ``Simulator(config).run()`` per config, in order — from
+full results through rows, aggregates, CSV and completion JSON, serial
+or across workers, with or without payload-only transport.
 
 ``TestCohortSerialSmoke`` is the gating CI smoke (mirroring the
-2-worker distributed smoke): a small policy/controller grid through
-both paths, byte-compared end to end.
+2-worker distributed smoke).
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.runner import BatchRunner
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
 from repro.sweep import SweepRunner, SweepSpec
 from repro.sweep.aggregate import Aggregator, default_aggregators
 from repro.sweep.runner import FoldReducer, _spec_rebuildable
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from helpers import assert_results_identical, export_outputs, simulator_loop
 
-def run_both(tmp_path, spec, **kwargs):
-    """Run a spec with cohort off and on; return both output byte sets."""
-    outputs = {}
-    for mode in ("off", "auto"):
-        json_path = tmp_path / f"{mode}.json"
-        csv_path = tmp_path / f"{mode}.csv"
-        result = SweepRunner(
-            spec, csv_path=csv_path, cohort=mode, **kwargs
-        ).run()
-        result.save_json(json_path)
-        outputs[mode] = {
-            "rows": result.rows,
-            "agg_rows": [agg.rows() for agg in result.aggregators],
-            "json": json_path.read_bytes(),
-            "csv": csv_path.read_bytes(),
-        }
-    return outputs["off"], outputs["auto"]
+#: The scenarios every execution path must reproduce bit for bit.
+SCENARIOS = {
+    "policy-controller-grid": SweepSpec(
+        base=SimulationConfig(duration=0.6, nx=12, ny=12),
+        grid={"policy": ["TALB", "RR"], "controller": ["lut", "stepwise"]},
+        name="cohort-smoke",
+    ),
+    # Two networks interleaved, plus an Air singleton.
+    "mixed-networks": SweepSpec(
+        base=SimulationConfig(duration=0.5, nx=12, ny=12),
+        points=[
+            {"policy": "TALB"},
+            {"nx": 8, "ny": 8},
+            {"policy": "RR"},
+            {"nx": 8, "ny": 8, "policy": "LB"},
+            {"cooling": "Air"},
+        ],
+        name="cohort-points",
+    ),
+    "zip": SweepSpec(
+        base=SimulationConfig(duration=0.5, nx=12, ny=12),
+        zip_axes={"policy": ["TALB", "LB", "RR"], "seed": [0, 1, 2]},
+        name="cohort-zip",
+    ),
+    "facility": SweepSpec(
+        base=SimulationConfig(
+            duration=0.4, nx=8, ny=8, facility="closed-loop"
+        ),
+        grid={"facility_params.wet_bulb_c": [5.0, 15.0], "seed": [0, 1]},
+        name="cohort-facility",
+    ),
+}
+
+_REFERENCES: dict = {}
 
 
-def assert_outputs_identical(serial, cohort):
-    assert cohort["rows"] == serial["rows"]
-    assert cohort["agg_rows"] == serial["agg_rows"]
-    assert cohort["json"] == serial["json"]
-    assert cohort["csv"] == serial["csv"]
+def reference_for(name: str, directory: Path) -> tuple:
+    """The scenario's plain-loop reference, computed once per session."""
+    if name not in _REFERENCES:
+        _REFERENCES[name] = simulator_loop(SCENARIOS[name], directory)
+    return _REFERENCES[name]
+
+
+def assert_matches_simulator_loop(tmp_path, scenario, workers):
+    """Batch results and sweep outputs of a scenario are bitwise those
+    of the plain ``Simulator.run`` loop."""
+    results, outputs = reference_for(scenario, tmp_path)
+    spec = SCENARIOS[scenario]
+    configs = [point.config for point in spec.iter_points()]
+
+    batch = BatchRunner(configs, max_workers=workers).run()
+    assert [run.index for run in batch.runs] == list(range(len(configs)))
+    for expected, run in zip(results, batch.runs):
+        assert_results_identical(expected, run.result)
+
+    swept = SweepRunner(
+        spec, csv_path=tmp_path / "sweep.csv", max_workers=workers
+    ).run()
+    assert export_outputs(swept, tmp_path / "sweep") == outputs
+
+
+#: (scenario, workers) cases not pinned by a named test below.
+OTHER_CASES = [
+    ("mixed-networks", 2),
+    ("zip", None),
+    ("zip", 2),
+    ("facility", None),
+    ("facility", 2),
+]
 
 
 class TestCohortSerialSmoke:
-    """The gating CI smoke: policy/controller grid, cohort vs serial."""
+    """The gating CI smoke: bitwise against the plain ``Simulator.run``
+    loop, serial and 2 workers."""
 
     def test_policy_controller_grid_byte_identical(self, tmp_path):
-        spec = SweepSpec(
-            base=SimulationConfig(duration=0.6, nx=12, ny=12),
-            grid={
-                "policy": ["TALB", "RR"],
-                "controller": ["lut", "stepwise"],
-            },
-            name="cohort-smoke",
-        )
-        serial, cohort = run_both(tmp_path, spec)
-        assert_outputs_identical(serial, cohort)
+        assert_matches_simulator_loop(tmp_path, "policy-controller-grid", None)
+
+    @pytest.mark.parametrize(
+        ("scenario", "workers"),
+        OTHER_CASES,
+        ids=[
+            f"{scenario}-{'serial' if workers is None else f'{workers}-workers'}"
+            for scenario, workers in OTHER_CASES
+        ],
+    )
+    def test_matches_simulator_loop(self, tmp_path, scenario, workers):
+        assert_matches_simulator_loop(tmp_path, scenario, workers)
 
 
 class TestCohortSweepByteIdentity:
-    def test_zip_sweep(self, tmp_path):
-        spec = SweepSpec(
-            base=SimulationConfig(duration=0.5, nx=12, ny=12),
-            zip_axes={
-                "policy": ["TALB", "LB", "RR"],
-                "seed": [0, 1, 2],
-            },
-            name="cohort-zip",
-        )
-        serial, cohort = run_both(tmp_path, spec)
-        assert_outputs_identical(serial, cohort)
-
     def test_points_sweep_mixed_networks(self, tmp_path):
         """Explicit points spanning two networks plus a singleton."""
-        spec = SweepSpec(
-            base=SimulationConfig(duration=0.5, nx=12, ny=12),
-            points=[
-                {"policy": "TALB"},
-                {"nx": 8, "ny": 8},
-                {"policy": "RR"},
-                {"nx": 8, "ny": 8, "policy": "LB"},
-                {"cooling": "Air"},
-            ],
-            name="cohort-points",
-        )
-        serial, cohort = run_both(tmp_path, spec)
-        assert_outputs_identical(serial, cohort)
+        assert_matches_simulator_loop(tmp_path, "mixed-networks", None)
 
     def test_grid_sweep_parallel_workers(self, tmp_path):
-        spec = SweepSpec(
-            base=SimulationConfig(duration=0.4, nx=12, ny=12),
-            grid={"policy": ["TALB", "RR"], "seed": [0, 1]},
-            name="cohort-par",
-        )
-        serial, cohort = run_both(tmp_path, spec, max_workers=2)
-        assert_outputs_identical(serial, cohort)
+        assert_matches_simulator_loop(tmp_path, "policy-controller-grid", 2)
 
     def test_checkpoint_resume_crosses_cohort(self, tmp_path):
         """Interrupting mid-cohort and resuming stays byte-identical."""
