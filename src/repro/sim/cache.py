@@ -340,24 +340,33 @@ class CharacterizationCache:
     def warm(self, configs: Iterable[SimulationConfig]) -> "CharacterizationCache":
         """Pre-derive every characterization a set of runs will need.
 
-        Builds each unique thermal system once in the calling process
-        (through the same :func:`system_for` path a cold
-        :class:`~repro.sim.engine.Simulator` uses) and populates the
-        flow table, burst floor, and thermal weight sets, so worker
+        Walks the configs grouped by thermal system, in first-seen
+        order, and populates each group's flow table, burst floor, and
+        thermal weight sets through the same :func:`system_for` path a
+        cold :class:`~repro.sim.engine.Simulator` uses, so worker
         processes receive finished artifacts instead of re-deriving
-        them. Which artifacts a config needs is read from its
-        components' registry traits (``needs_flow_table`` on
-        controllers, ``uses_thermal_weights`` on policies), so a
-        user-registered component warms correctly without this method
-        knowing it exists. Returns ``self``.
+        them. Each group's system is dropped before the next is built,
+        so at most one system beyond the memo's capacity (and its LU
+        factorizations) is alive at a time; a rebuilt system is
+        bit-identical, so the artifacts do not depend on the grouping.
+        Which artifacts a config needs is read from its components'
+        registry traits (``needs_flow_table`` on controllers,
+        ``uses_thermal_weights`` on policies), so a user-registered
+        component warms correctly without this method knowing it
+        exists. Returns ``self``.
         """
-        systems: dict[tuple, tuple["ThermalSystem", "PowerModel"]] = {}
+        groups: dict[tuple, list[SimulationConfig]] = {}
         for config in configs:
-            sys_id = _system_memo_key(config)
-            if sys_id not in systems:
-                systems[sys_id] = system_for(config)
-            system, power_model = systems[sys_id]
-            cooling = system.cooling
+            groups.setdefault(_system_memo_key(config), []).append(config)
+        for group in groups.values():
+            self._warm_system(group)
+        return self
+
+    def _warm_system(self, configs: list[SimulationConfig]) -> None:
+        """Warm configs that share one thermal system (see :meth:`warm`)."""
+        system, power_model = system_for(configs[0])
+        cooling = system.cooling
+        for config in configs:
             needs_lut = (
                 config.cooling is CoolingMode.LIQUID_VARIABLE
                 and controller_registry().get(config.controller)
@@ -378,7 +387,6 @@ class CharacterizationCache:
                         self.thermal_weights(system, k, config, cooling)
             if workload_registry().get(config.workload).trait("cache_trace"):
                 self.thread_trace(config)
-        return self
 
     def merge(self, other: "CharacterizationCache") -> None:
         """Fold another cache's entries into this one (first writer wins)."""

@@ -252,9 +252,11 @@ class ThermalSystem:
         Runs the leakage fixed point for all utilizations in lockstep
         with one multi-RHS triangular solve per iteration; each row
         matches a separate :meth:`steady_temperatures` call to within
-        LU roundoff (~1e-14 K). The flow-table characterization sweep
-        (Figure 5) uses this to amortize its ``settings x
-        utilizations`` grid.
+        LU roundoff (~1e-14 K). The krylov tier factorizes the
+        setting's own matrix for this (at most one LU per setting)
+        rather than iterating each column with GMRES. The flow-table
+        characterization sweep (Figure 5) uses this to amortize its
+        ``settings x utilizations`` grid.
         """
         utils = [float(u) for u in np.atleast_1d(np.asarray(utilizations, dtype=float))]
         if any(not 0.0 <= u <= 1.0 for u in utils):

@@ -274,6 +274,10 @@ _KRYLOV_STAT_KEYS = (
 _KRYLOV_COUNTERS = {
     key: _metrics.counter("solver.krylov." + key) for key in _KRYLOV_STAT_KEYS
 }
+_AMORTIZED = _metrics.counter("solver.krylov.amortized")
+"""Multi-RHS calls that factorized their solver's own matrix (see
+:meth:`_KrylovLinearSolver.solve_linear_many`). Deliberately not in
+``_KRYLOV_STAT_KEYS``, so :func:`krylov_stats` keeps its keys."""
 
 
 def krylov_stats() -> dict:
@@ -458,7 +462,8 @@ class _KrylovLinearSolver:
     exact LU produced it. The first design point of a structure (no
     retained neighbor) and any stalled iteration factorize exactly —
     so krylov mode is never *less* robust than exact, only cheaper
-    when neighbors exist.
+    when neighbors exist. Multi-RHS work factorizes instead of
+    iterating (see :meth:`solve_linear_many`).
     """
 
     def __init__(
@@ -498,13 +503,19 @@ class _KrylovLinearSolver:
             _bump_krylov(preconditioner_hits=1)
         else:
             _bump_krylov(preconditioner_misses=1)
-            self._factorize()
+            self._factorize("miss")
 
-    def _factorize(self) -> spla.SuperLU:
-        """Exact LU of *this* matrix; retained for future neighbors."""
+    def _factorize(self, reason: str) -> spla.SuperLU:
+        """Exact LU of *this* matrix; retained for future neighbors.
+
+        ``reason`` (``miss``, ``fallback`` or ``amortize``) tags the
+        ``factorize`` span. A solver with its own LU never iterates
+        again, so the neighbor preconditioner is released here rather
+        than outliving its eviction from the pool."""
         if self._lu is None:
             with _trace.span(
-                "factorize", kind="krylov", n_nodes=self._matrix.shape[0]
+                "factorize", kind="krylov", reason=reason,
+                n_nodes=self._matrix.shape[0],
             ):
                 try:
                     self._lu = spla.splu(self._matrix.tocsc())
@@ -514,6 +525,7 @@ class _KrylovLinearSolver:
                     ) from exc
             _count_factorization()
             self._cache.retain(self.structure, self._params, self._lu)
+            self._precond = None
         return self._lu
 
     def solve_linear(self, rhs: np.ndarray, x0: Optional[np.ndarray]) -> np.ndarray:
@@ -550,19 +562,30 @@ class _KrylovLinearSolver:
         # is kept, so subsequent steps of this solver are direct.
         self.fallback_count += 1
         _bump_krylov(fallbacks=1, direct_solves=1)
-        out = self._factorize().solve(rhs)
+        out = self._factorize("fallback").solve(rhs)
         if not np.all(np.isfinite(out)):
             raise SolverError("krylov fallback solve produced non-finite values")
         return out
 
-    def solve_linear_many(
-        self, rhs: np.ndarray, x0: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """Column-by-column :meth:`solve_linear` (GMRES is single-RHS)."""
-        out = np.empty_like(rhs)
-        for c in range(rhs.shape[1]):
-            guess = None if x0 is None else np.ascontiguousarray(x0[:, c])
-            out[:, c] = self.solve_linear(np.ascontiguousarray(rhs[:, c]), guess)
+    def solve_linear_many(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``A X = rhs`` for every column with one multi-RHS
+        triangular solve.
+
+        GMRES is single-RHS, so a batch would cost one iterative solve
+        per column. The only batches the simulator issues are the
+        flow-table characterization's (11 utilizations per setting),
+        which cost more in GMRES than one factorization, so a batch
+        factorizes this solver's own matrix (retained in the pool) and
+        every later call solves directly. :meth:`solve_linear` never
+        factorizes on its own, so transient stepping keeps iterating.
+        """
+        if self._lu is None:
+            self._factorize("amortize")
+            _AMORTIZED.inc()
+        _bump_krylov(direct_solves=rhs.shape[1])
+        out = self._lu.solve(rhs)
+        if not np.all(np.isfinite(out)):
+            raise SolverError("krylov direct solve produced non-finite values")
         return out
 
 
@@ -630,7 +653,8 @@ class KrylovTransientSolver:
         return out
 
     def step_many(self, temperatures: np.ndarray, powers: np.ndarray) -> np.ndarray:
-        """Advance many independent states one step (column-wise GMRES)."""
+        """Advance many independent states one step with this solver's
+        own LU (see :meth:`_KrylovLinearSolver.solve_linear_many`)."""
         temperatures = np.asarray(temperatures, dtype=float)
         powers = np.asarray(powers, dtype=float)
         n = self.network.n_nodes
@@ -648,7 +672,7 @@ class KrylovTransientSolver:
             + powers
             + self.network.boundary[:, None]
         )
-        out = self._core.solve_linear_many(rhs, x0=temperatures)
+        out = self._core.solve_linear_many(rhs)
         if not np.all(np.isfinite(out)):
             raise SolverError("transient step produced non-finite temperatures")
         return out
@@ -694,7 +718,6 @@ class KrylovSteadySolver:
             network.conductance, structure, params, tolerance, max_iterations, cache
         )
         self._last: Optional[np.ndarray] = None
-        self._last_block: Optional[np.ndarray] = None
 
     @property
     def fallback_count(self) -> int:
@@ -718,24 +741,25 @@ class KrylovSteadySolver:
         return temps
 
     def solve_many(self, powers: np.ndarray) -> np.ndarray:
-        """Equilibrium fields for many injections (column-wise GMRES)."""
+        """Equilibrium fields for many injections at once.
+
+        Factorizes this solver's own matrix once and answers every
+        column with one multi-RHS triangular solve (see
+        :meth:`_KrylovLinearSolver.solve_linear_many`).
+        """
         powers = np.asarray(powers, dtype=float)
         n = self.network.n_nodes
         if powers.ndim != 2 or powers.shape[0] != n:
             raise SolverError(
                 f"power matrix has shape {powers.shape}, expected ({n}, k)"
             )
-        x0 = self._last_block
-        if x0 is not None and x0.shape != powers.shape:
-            x0 = None
         with _trace.span(
             "steady", tier="krylov",
             n_nodes=self.network.n_nodes, n_rhs=powers.shape[1],
         ):
             temps = self._core.solve_linear_many(
-                powers + self.network.boundary[:, None], x0=x0
+                powers + self.network.boundary[:, None]
             )
         if not np.all(np.isfinite(temps)):
             raise SolverError("steady-state solve produced non-finite temperatures")
-        self._last_block = temps
         return temps

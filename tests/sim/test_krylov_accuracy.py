@@ -5,7 +5,12 @@
 within the documented :data:`KRYLOV_TEMPERATURE_TOLERANCE`, and the
 krylov campaign must perform strictly fewer LU factorizations than it
 has design points (the whole point of the tier).
+``TestKrylovCharacterizationGate`` gates the same properties on a
+Var-cooled TALB sweep, whose flow-table characterization is multi-RHS
+work the krylov tier factorizes for rather than iterating.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -48,18 +53,60 @@ def _sweep_configs(solver: str) -> list:
     ]
 
 
-def _campaign(solver: str):
-    """Run the sweep cold; returns (results, factorizations, stats delta)."""
+def _talb_sweep_configs(solver: str) -> list:
+    """The same design points under Var cooling and TALB: every point
+    characterizes a flow table, a burst floor and per-setting weights."""
+    return [
+        SimulationConfig(
+            policy="TALB",
+            cooling=CoolingMode.LIQUID_VARIABLE,
+            nx=16,
+            ny=16,
+            duration=1.0,
+            solver=solver,
+            thermal_params=ThermalParams(resistance_scale=4.0 + 0.1 * i),
+        )
+        for i in range(N_POINTS)
+    ]
+
+
+def _stats_since(before: dict) -> dict:
+    return {key: value - before[key] for key, value in krylov_stats().items()}
+
+
+class Campaign(NamedTuple):
+    results: list
+    factorizations: int
+    stats: dict  # krylov_stats() delta over the whole campaign
+    warm_stats: dict  # krylov_stats() delta over characterization alone
+    cache: CharacterizationCache
+
+
+def _campaign(solver: str, configs=_sweep_configs) -> Campaign:
+    """Warm, then run, the sweep cold."""
     clear_system_memo()
     clear_neighbor_cache()
     before_f = factorization_count()
     before_s = krylov_stats()
-    batch = BatchRunner(_sweep_configs(solver), cache=CharacterizationCache())
+    cache = CharacterizationCache().warm(configs(solver))
+    warm_stats = _stats_since(before_s)
+    batch = BatchRunner(configs(solver), cache=cache)
     results = [run.result for run in batch.run().runs]
-    stats = {
-        key: value - before_s[key] for key, value in krylov_stats().items()
-    }
-    return results, factorization_count() - before_f, stats
+    return Campaign(
+        results, factorization_count() - before_f, _stats_since(before_s),
+        warm_stats, cache,
+    )
+
+
+def _worst_difference(exact: Campaign, krylov: Campaign) -> float:
+    worst = 0.0
+    for e, k in zip(exact.results, krylov.results):
+        worst = max(worst, float(np.abs(e.tmax - k.tmax).max()))
+        worst = max(
+            worst,
+            float(np.abs(e.unit_temperatures - k.unit_temperatures).max()),
+        )
+    return worst
 
 
 class TestKrylovAccuracySmoke:
@@ -74,18 +121,13 @@ class TestKrylovAccuracySmoke:
         return exact, krylov
 
     def test_max_temperature_within_documented_tolerance(self, campaigns):
-        (exact_results, _, _), (krylov_results, _, _) = campaigns
-        worst = 0.0
-        for e, k in zip(exact_results, krylov_results):
-            worst = max(worst, float(np.abs(e.tmax - k.tmax).max()))
-            worst = max(
-                worst,
-                float(np.abs(e.unit_temperatures - k.unit_temperatures).max()),
-            )
-        assert worst < KRYLOV_TEMPERATURE_TOLERANCE
+        assert _worst_difference(*campaigns) < KRYLOV_TEMPERATURE_TOLERANCE
 
     def test_krylov_factorizes_fewer_than_design_points(self, campaigns):
-        (_, exact_f, _), (_, krylov_f, stats) = campaigns
+        exact, krylov = campaigns
+        exact_f, krylov_f, stats = (
+            exact.factorizations, krylov.factorizations, krylov.stats
+        )
         # Exact pays steady + transient per distinct network.
         assert exact_f == 2 * N_POINTS
         # Krylov factorizes the first design point only; every later
@@ -95,9 +137,40 @@ class TestKrylovAccuracySmoke:
         assert stats["fallbacks"] == 0
 
     def test_exact_campaign_never_iterates(self, campaigns):
-        (_, _, exact_stats), _ = campaigns
+        exact_stats = campaigns[0].stats
         assert exact_stats["gmres_solves"] == 0
         assert exact_stats["direct_solves"] == 0
+
+
+class TestKrylovCharacterizationGate:
+    """CI-gating: under Var cooling the krylov tier factorizes once per
+    characterized setting instead of iterating the flow-table sweep, so
+    it never factorizes more than exact and stays within tolerance."""
+
+    @pytest.fixture(scope="class")
+    def campaigns(self):
+        exact = _campaign("exact", _talb_sweep_configs)
+        krylov = _campaign("krylov", _talb_sweep_configs)
+        clear_system_memo()
+        clear_neighbor_cache()
+        return exact, krylov
+
+    def test_max_temperature_within_documented_tolerance(self, campaigns):
+        assert _worst_difference(*campaigns) < KRYLOV_TEMPERATURE_TOLERANCE
+
+    def test_krylov_factorizes_no_more_than_exact(self, campaigns):
+        exact, krylov = campaigns
+        assert krylov.factorizations <= exact.factorizations
+        assert krylov.stats["preconditioner_hits"] > 0
+        assert krylov.stats["fallbacks"] == 0
+
+    def test_characterization_does_not_iterate(self, campaigns):
+        # Every multi-RHS batch factorizes, so the flow-table sweep
+        # runs no GMRES solve at all.
+        _, krylov = campaigns
+        assert krylov.cache.tables
+        assert krylov.warm_stats["gmres_solves"] == 0
+        assert krylov.warm_stats["direct_solves"] > 0
 
 
 class TestKrylovVariableFlow:

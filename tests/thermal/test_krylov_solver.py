@@ -1,5 +1,6 @@
 """Krylov solver tier: neighbor preconditioning, fallbacks, failures."""
 
+import sys
 import threading
 from dataclasses import replace
 
@@ -10,6 +11,10 @@ import scipy.sparse as sp
 from repro import units
 from repro.errors import SolverError
 from repro.geometry.stack import build_stack
+from repro.power.components import PowerModel
+from repro.power.leakage import LeakageModel
+from repro.sim.system import ThermalSystem
+from repro.telemetry import metrics, trace
 from repro.thermal.grid import ThermalGrid
 from repro.thermal.rc_network import ThermalParams, build_network
 from repro.thermal.solver import (
@@ -19,6 +24,7 @@ from repro.thermal.solver import (
     NeighborFactorCache,
     SteadyStateSolver,
     TransientSolver,
+    clear_neighbor_cache,
     factorization_count,
     krylov_stats,
     params_distance,
@@ -269,6 +275,138 @@ class TestKrylovSteady:
             krylov.solve(np.zeros(3))
         with pytest.raises(SolverError):
             krylov.solve_many(np.zeros((3, 2)))
+
+
+def _amortized() -> int:
+    return metrics.counter("solver.krylov.amortized").value()
+
+
+def _neighbor_steady(grid, cache, **solver_kwargs):
+    """A steady solver for the default params, preconditioned by the
+    LU of a nearby design point."""
+    KrylovSteadySolver(_network(grid, resistance_scale=4.2),
+                       ThermalParams(resistance_scale=4.2), cache=cache)
+    solver = KrylovSteadySolver(
+        _network(grid), ThermalParams(), cache=cache, **solver_kwargs
+    )
+    assert solver._core.neighbor_distance is not None
+    return solver
+
+
+class TestBatchFactorization:
+    """Multi-RHS work factorizes the solver's own matrix once; single-RHS
+    streams keep iterating."""
+
+    def test_characterization_factorizes_at_most_once_per_setting(self):
+        clear_neighbor_cache()
+        try:
+            seed = ThermalSystem(
+                nx=8, ny=8, solver="krylov",
+                params=ThermalParams(resistance_scale=4.2),
+            )
+            krylov = ThermalSystem(nx=8, ny=8, solver="krylov")
+            exact = ThermalSystem(nx=8, ny=8)
+            power_model = PowerModel(krylov.stack, leakage=LeakageModel())
+            utils = np.linspace(0.0, 1.0, 11)
+            for k in range(krylov.pump.n_settings):
+                seed.steady_solver(k)
+                before = factorization_count()
+                fields = krylov.steady_temperature_fields(
+                    power_model, utils, setting_index=k
+                )
+                assert factorization_count() - before <= 1
+                assert krylov.steady_solver(k)._core.neighbor_distance is not None
+                reference = exact.steady_temperature_fields(
+                    power_model, utils, setting_index=k
+                )
+                assert np.abs(fields - reference).max() < KRYLOV_TEMPERATURE_TOLERANCE
+        finally:
+            clear_neighbor_cache()
+
+    def test_batch_factorizes_once_and_matches_exact(self, grid, power):
+        # A one-iteration budget would stall every GMRES solve; once the
+        # batch has factorized, no solve iterates or falls back again.
+        cache = NeighborFactorCache()
+        krylov = _neighbor_steady(grid, cache, max_iterations=1)
+        powers = np.stack([power, 0.5 * power], axis=1)
+        expected = SteadyStateSolver(_network(grid)).solve_many(powers)
+        before_f, before_a = factorization_count(), _amortized()
+        stats_before = krylov_stats()
+        block = krylov.solve_many(powers)
+        assert factorization_count() - before_f == 1
+        assert _amortized() - before_a == 1
+        assert krylov_stats()["gmres_solves"] == stats_before["gmres_solves"]
+        assert np.abs(block - expected).max() < KRYLOV_TEMPERATURE_TOLERANCE
+        # The LU is retained for neighbors and answers later calls
+        # directly.
+        assert cache.exact(krylov._core.structure, ThermalParams()) is not None
+        krylov.solve_many(powers)
+        krylov.solve(power)
+        assert factorization_count() - before_f == 1
+        assert krylov_stats()["gmres_solves"] == stats_before["gmres_solves"]
+        assert krylov.fallback_count == 0
+
+    def test_factorizing_releases_the_neighbor_lu(self, grid, power):
+        # A one-entry pool evicts the neighbor when the solver retains
+        # its own LU; the solver must not keep the neighbor alive.
+        cache = NeighborFactorCache(capacity=1)
+        krylov = _neighbor_steady(grid, cache)
+        neighbor = krylov._core._precond
+        krylov.solve_many(np.stack([power, 0.5 * power], axis=1))
+        assert cache.exact(krylov._core.structure, ThermalParams()) is not None
+        assert krylov._core._precond is None
+        # Only this frame's name (and getrefcount's argument) remain.
+        assert sys.getrefcount(neighbor) == 2
+
+    def test_transient_stream_never_factorizes(self, grid, power):
+        cache = NeighborFactorCache()
+        KrylovTransientSolver(_network(grid, resistance_scale=4.2), 0.1,
+                              ThermalParams(resistance_scale=4.2), cache=cache)
+        target = _network(grid)
+        krylov = KrylovTransientSolver(target, 0.1, ThermalParams(), cache=cache)
+        before_f, before_a = factorization_count(), _amortized()
+        state = np.full(target.n_nodes, 60.0)
+        for _ in range(30):
+            state = krylov.step(state, power)
+        assert factorization_count() == before_f
+        assert _amortized() == before_a
+        assert krylov.fallback_count == 0
+
+    def test_batch_after_fallback_does_not_factorize_again(self, grid, power):
+        cache = NeighborFactorCache()
+        krylov = _neighbor_steady(grid, cache, max_iterations=1)
+        before_f, before_a = factorization_count(), _amortized()
+        krylov.solve(power)
+        assert krylov.fallback_count == 1
+        krylov.solve_many(np.stack([power, 0.5 * power], axis=1))
+        assert factorization_count() - before_f == 1
+        assert _amortized() == before_a
+
+    def test_factorize_spans_carry_their_reason(self, grid, power):
+        trace.enable(capacity=1024)
+        trace.clear()
+        try:
+            cache = NeighborFactorCache()
+            krylov = _neighbor_steady(grid, cache)
+            krylov.solve_many(np.stack([power, 0.5 * power], axis=1))
+            stalled = KrylovSteadySolver(
+                _network(grid, resistance_scale=12.0),
+                ThermalParams(resistance_scale=12.0),
+                cache=cache, max_iterations=1,
+            )
+            stalled.solve(power)
+            reasons = [
+                event["attrs"]["reason"]
+                for event in trace.events()
+                if event["name"] == "factorize"
+            ]
+        finally:
+            trace.disable()
+            trace.clear()
+        assert reasons == ["miss", "amortize", "fallback"]
+
+    def test_amortized_counter_stays_out_of_krylov_stats(self):
+        assert "amortized" not in krylov_stats()
 
 
 class TestSingularNetworks:
