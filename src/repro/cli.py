@@ -767,10 +767,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         configs = reseeded(configs, args.reseed)
     runner = BatchRunner(configs, max_workers=_validated_workers(args))
     batch = runner.run()
+    # Only parallel batches pre-warm; serial runs characterize in-run.
+    warm = (
+        f"warm {batch.warm_time:.2f}s" if batch.n_workers > 1
+        else "characterized in-run"
+    )
     print(
         f"batch: {len(batch)} runs x {args.duration:.0f}s, "
-        f"{batch.n_workers} worker(s), warm {batch.warm_time:.2f}s, "
-        f"run {batch.wall_time:.2f}s"
+        f"{batch.n_workers} worker(s), {warm}, run {batch.wall_time:.2f}s"
     )
     columns = [
         "run", "label", "benchmark", "seed", "peak_temperature_sensor",

@@ -5,9 +5,10 @@ campaign directory. It scans the ledger's shards in canonical order,
 claims the first claimable lease (reclaiming stale ones left by
 crashed workers), executes the shard's runs through
 :class:`~repro.runner.BatchRunner` with one
-:class:`~repro.sim.cache.CharacterizationCache` pre-warmed and kept
-across chunks, and journals each run's export row plus its
-per-aggregator fold payloads. The journal's final ``complete`` line is
+:class:`~repro.sim.cache.CharacterizationCache` kept across chunks
+(filled lazily by serial runs, pre-warmed for a process fan-out), and
+journals each run's export row plus its per-aggregator fold
+payloads. The journal's final ``complete`` line is
 the only thing that marks a shard done, so a worker killed anywhere
 mid-chunk leaves work that is simply re-executed by whoever reclaims
 the lease — determinism makes the re-execution indistinguishable.

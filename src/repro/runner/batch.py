@@ -8,9 +8,10 @@ such batches:
 
 * :class:`BatchRunner` takes a list of
   :class:`~repro.sim.config.SimulationConfig` (plus optional
-  pre-generated traces), pre-warms one
+  pre-generated traces) and runs them in-process, characterizing
+  lazily on each run's own system, or pre-warms one
   :class:`~repro.sim.cache.CharacterizationCache` in the parent
-  process, and fans the runs out over a
+  process and fans the runs out over a
   :class:`concurrent.futures.ProcessPoolExecutor`;
 * results come back as a structured :class:`BatchResult` in input
   order, bit-identical to serial execution: every run is fully
@@ -91,7 +92,9 @@ class BatchResult:
         Wall-clock seconds for the whole batch (excluding cache
         warm-up, which is shared and reported separately).
     warm_time:
-        Seconds spent pre-warming the characterization cache.
+        Seconds spent pre-warming the characterization cache; 0.0 on
+        serial runs, which characterize inside the runs (and so
+        inside ``wall_time``).
     n_workers:
         Worker processes used (1 = serial in-process execution).
     """
@@ -232,13 +235,16 @@ class BatchRunner:
         :class:`~concurrent.futures.ProcessPoolExecutor` with that many
         workers is used (capped at the batch size).
     cache:
-        The characterization cache to warm and ship to workers;
-        defaults to the process-wide engine cache so batches share
-        characterizations with prior in-process runs.
+        The characterization cache the runs draw from (and that a
+        parallel batch warms and ships to workers); defaults to the
+        process-wide engine cache so batches share characterizations
+        with prior in-process runs.
     warm:
         Pre-derive all needed characterizations in the parent before
-        fanning out (strongly recommended for parallel runs: the
-        artifacts are computed once instead of once per worker).
+        fanning out (strongly recommended: the artifacts are computed
+        once instead of once per worker). A serial batch never
+        pre-warms: each run derives what it needs on the system it
+        already holds, so no system is built twice.
 
     Runs are ordered by thermal cohort (see :mod:`repro.runner.cohort`)
     so runs sharing a network execute back to back and reuse its
@@ -323,7 +329,7 @@ class BatchRunner:
         every earlier index has landed, so downstream folds stay
         deterministic however runs were grouped or scheduled.
         """
-        if self.warm:
+        if self.warm and self.max_workers > 1:
             self.warm_cache()
         tasks = [
             (
@@ -350,7 +356,7 @@ class BatchRunner:
                 emit_next += 1
 
         if self.max_workers <= 1:
-            # Serial path: run in-process against the (now warm) cache.
+            # Serial path: run in-process; each run fills the cache.
             previous = engine.default_cache()
             engine.set_default_cache(self.cache)
             try:
@@ -415,7 +421,7 @@ class BatchRunner:
 
     def run(self) -> BatchResult:
         """Execute the batch; results come back in submission order."""
-        warm_time = self.warm_cache() if self.warm else 0.0
+        warm_time = self.warm_cache() if self.warm and self.max_workers > 1 else 0.0
         was_warm, self.warm = self.warm, False
         start = time.perf_counter()
         try:

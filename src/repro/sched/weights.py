@@ -18,13 +18,13 @@ above other hot units) get large weights and therefore fewer threads.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
 from repro.errors import SchedulingError
 from repro.thermal.rc_network import RCNetwork
-from repro.thermal.solver import steady_solver_for
+from repro.thermal.solver import KrylovSteadySolver, SteadyStateSolver
 
 
 class ThermalWeights:
@@ -66,6 +66,7 @@ class ThermalWeights:
         network: RCNetwork,
         target_temperature: float = 75.0,
         background_power: float = 0.0,
+        solver: Optional[Union[SteadyStateSolver, KrylovSteadySolver]] = None,
     ) -> "ThermalWeights":
         """Derive weights from a thermal network (pre-processing step).
 
@@ -80,24 +81,27 @@ class ThermalWeights:
         background_power:
             Power (W) placed uniformly on every non-core unit while
             probing, so crossbar/L2 heating is reflected in the offsets.
+        solver:
+            A steady solver of ``network`` to reuse (e.g. a
+            :class:`~repro.sim.system.ThermalSystem`'s cached
+            ``steady_solver``); ``None`` factorizes once for this call.
+            The multi-RHS probe solve runs first, so a Krylov-tier
+            solver answers every probe from an LU of its own matrix
+            and the weights match the exact tier bit for bit.
         """
         grid = network.grid
         core_keys = list(grid.core_keys)
         if not core_keys:
             raise SchedulingError("stack has no cores")
 
-        # Networks are cached per pump setting upstream; the solver memo
-        # reuses one LU factorization across repeated derivations (e.g.
-        # weight-target sweeps over the same network).
-        solver = steady_solver_for(network)
+        if solver is None:
+            solver = SteadyStateSolver(network)
         base_units = np.zeros(grid.n_units)
         if background_power > 0.0:
             non_core = np.setdiff1d(
                 np.arange(grid.n_units), grid.core_index, assume_unique=False
             )
             base_units[non_core] = background_power
-        t_base = solver.solve(grid.power_vector_from_array(base_units))
-        t0 = grid.unit_temperature_vector(t_base)[grid.core_index]
 
         # One multi-RHS solve covers every per-core probe injection.
         n = len(core_keys)
@@ -108,6 +112,10 @@ class ThermalWeights:
             probe[core_position] += probe_watts
             probes[:, j] = grid.power_vector_from_array(probe)
         temps = solver.solve_many(probes)
+        # The base solve comes second: a Krylov solver now answers it
+        # from its own LU rather than iterating.
+        t_base = solver.solve(grid.power_vector_from_array(base_units))
+        t0 = grid.unit_temperature_vector(t_base)[grid.core_index]
         core_responses = np.column_stack(
             [
                 grid.unit_temperature_vector(temps[:, j])[grid.core_index]

@@ -281,6 +281,9 @@ class CharacterizationCache:
                 # so crossbar/L2 heating is reflected in the per-core
                 # budgets.
                 background_power=1.0,
+                # The system's own steady solver: one LU per setting,
+                # shared with the flow table, floor and initial field.
+                solver=system.steady_solver(setting_index),
             )
         return self.weight_sets[key]
 

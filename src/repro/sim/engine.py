@@ -108,19 +108,6 @@ def burst_floor_setting(
     return (cache or _default_cache).floor(system, power_model, config)
 
 
-def thermal_weights(
-    system: ThermalSystem,
-    setting_index: int,
-    config: SimulationConfig,
-    cooling: CoolingKind,
-    cache: Optional[CharacterizationCache] = None,
-) -> ThermalWeights:
-    """The (cached) pre-processed TALB weights for one cooling condition."""
-    return (cache or _default_cache).thermal_weights(
-        system, setting_index, config, cooling
-    )
-
-
 @dataclass(frozen=True)
 class IntervalState:
     """What one control interval produced — the observer's view.

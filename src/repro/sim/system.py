@@ -223,10 +223,19 @@ class ThermalSystem:
         """Steady-state temperature field (see :meth:`steady_tmax`)."""
         if not 0.0 <= utilization <= 1.0:
             raise ConfigurationError("utilization must be in [0, 1]")
-        core_names = self.stack.core_names()
-        core_util = {name: utilization for name in core_names}
-        core_states = {name: CoreState.IDLE if utilization == 0.0 else CoreState.ACTIVE
-                       for name in core_names}
+        core_util = {name: utilization for name in self.stack.core_names()}
+        return self._leakage_fixed_point(
+            power_model, core_util, setting_index, memory_intensity, leakage_iterations
+        )
+
+    def _leakage_fixed_point(self, power_model: PowerModel, core_util: dict[str, float],
+                             setting_index: int, memory_intensity: float,
+                             leakage_iterations: int) -> np.ndarray:
+        """Steady field for a per-core utilization map (a core at zero
+        utilization idles): iterates power(T) -> solve -> T from zero
+        leakage feedback and returns the last iterate."""
+        core_states = {name: CoreState.IDLE if u == 0.0 else CoreState.ACTIVE
+                       for name, u in core_util.items()}
         solver = self.steady_solver(setting_index)
         grid = self.grid
         unit_vec: Optional[np.ndarray] = None
@@ -326,22 +335,11 @@ class ThermalSystem:
         core_names = self.stack.core_names()
         if not 1 <= n_active <= len(core_names):
             raise ConfigurationError("n_active outside the core count")
-        core_util = {name: 0.0 for name in core_names}
-        core_states = {name: CoreState.IDLE for name in core_names}
-        for name in core_names[:n_active]:
-            core_util[name] = 1.0
-            core_states[name] = CoreState.ACTIVE
-        solver = self.steady_solver(setting_index)
-        grid = self.grid
-        unit_vec: Optional[np.ndarray] = None
-        temps = np.zeros(grid.n_nodes)
-        for _ in range(max(1, leakage_iterations)):
-            unit_powers = power_model.unit_power_vector(
-                grid.unit_keys, core_util, core_states, memory_intensity, unit_vec
-            )
-            temps = solver.solve(grid.power_vector_from_array(unit_powers))
-            unit_vec = grid.unit_temperature_vector(temps)
-        return float(unit_vec.max())
+        core_util = {name: 1.0 if i < n_active else 0.0 for i, name in enumerate(core_names)}
+        temps = self._leakage_fixed_point(
+            power_model, core_util, setting_index, memory_intensity, leakage_iterations
+        )
+        return float(self.grid.unit_temperature_vector(temps).max())
 
     # --- convenience ------------------------------------------------------------
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import fields as dataclass_fields
 from typing import Optional
@@ -54,24 +53,16 @@ def _count_factorization() -> None:
 
 
 class SteadyStateSolver:
-    """Solves ``G T = P + b`` for the equilibrium temperature field.
+    """Solves ``G T = P + b`` for the equilibrium temperature field."""
 
-    ``lu`` lets :func:`steady_solver_for` reuse a previously computed
-    factorization of the same network; leave it ``None`` to factorize.
-    """
-
-    def __init__(self, network: RCNetwork, lu: Optional[spla.SuperLU] = None) -> None:
+    def __init__(self, network: RCNetwork) -> None:
         self.network = network
-        if lu is None:
-            with _trace.span("factorize", kind="steady", n_nodes=network.n_nodes):
-                try:
-                    lu = spla.splu(network.conductance.tocsc())
-                except RuntimeError as exc:
-                    raise SolverError(
-                        f"steady-state factorization failed: {exc}"
-                    ) from exc
-            _count_factorization()
-        self._lu = lu
+        with _trace.span("factorize", kind="steady", n_nodes=network.n_nodes):
+            try:
+                self._lu = spla.splu(network.conductance.tocsc())
+            except RuntimeError as exc:
+                raise SolverError(f"steady-state factorization failed: {exc}") from exc
+        _count_factorization()
 
     def solve(self, power: np.ndarray) -> np.ndarray:
         """Equilibrium temperatures for a per-node power injection (W)."""
@@ -199,39 +190,12 @@ class TransientSolver:
         return state
 
 
-_steady_lu_memo: "weakref.WeakKeyDictionary[RCNetwork, spla.SuperLU]" = (
-    weakref.WeakKeyDictionary()
-)
-"""LU factorizations keyed weakly by their network. Entries vanish when
-the caller drops the network, so the memo never pins networks alive
-(the old ``id(network)``-keyed LRU kept up to 8 networks and their
-factorizations reachable indefinitely, and id reuse could alias two
-different networks). The cached ``SuperLU`` object holds no reference
-back to the network, so there is no cycle to collect."""
-
-
-def steady_solver_for(network: RCNetwork) -> SteadyStateSolver:
-    """A cached :class:`SteadyStateSolver` for a network.
-
-    Callers that own a :class:`~repro.sim.system.ThermalSystem` should
-    prefer its ``steady_solver`` cache; this memo serves callers that
-    only hold a bare network, so repeated :func:`initial_state` calls
-    reuse one LU factorization instead of re-factorizing every time.
-    """
-    lu = _steady_lu_memo.get(network)
-    if lu is not None:
-        return SteadyStateSolver(network, lu=lu)
-    solver = SteadyStateSolver(network)
-    _steady_lu_memo[network] = solver._lu
-    return solver
-
-
 def initial_state(network: RCNetwork, power: Optional[np.ndarray] = None) -> np.ndarray:
     """Steady-state initialization (the paper initializes all simulations
     "with steady state temperature values")."""
     if power is None:
         power = np.zeros(network.n_nodes)
-    return steady_solver_for(network).solve(power)
+    return SteadyStateSolver(network).solve(power)
 
 
 # --- iterative tier: neighbor-preconditioned Krylov solvers -------------------

@@ -1,8 +1,5 @@
 """Steady-state and transient solvers."""
 
-import gc
-import weakref
-
 import numpy as np
 import pytest
 
@@ -14,9 +11,7 @@ from repro.thermal.rc_network import ThermalParams, build_network
 from repro.thermal.solver import (
     SteadyStateSolver,
     TransientSolver,
-    _steady_lu_memo,
     initial_state,
-    steady_solver_for,
 )
 
 FLOW = units.ml_per_minute(400.0)
@@ -45,6 +40,9 @@ class TestSteadyState:
     def test_initial_state_zero_power(self, net):
         temps = initial_state(net)
         assert np.allclose(temps, 60.0, atol=1e-6)
+
+    def test_initial_state_repeatable(self, net):
+        np.testing.assert_array_equal(initial_state(net), initial_state(net))
 
 
 class TestTransient:
@@ -112,45 +110,6 @@ class TestTransient:
         assert gap < 0.05 * initial_gap
 
 
-class TestSteadySolverMemo:
-    """The LU memo keys weakly on the network: reuse while alive,
-    release when dropped (the old id()-keyed LRU pinned up to 8
-    networks and their factorizations forever)."""
-
-    def _fresh_network(self):
-        grid = ThermalGrid(build_stack(2), nx=8, ny=8)
-        return build_network(grid, ThermalParams(), cavity_flows=[FLOW])
-
-    def test_reuses_factorization_while_network_alive(self):
-        net = self._fresh_network()
-        s1 = steady_solver_for(net)
-        s2 = steady_solver_for(net)
-        assert s1._lu is s2._lu
-
-    def test_distinct_networks_get_distinct_factorizations(self):
-        net_a = self._fresh_network()
-        net_b = self._fresh_network()
-        assert steady_solver_for(net_a)._lu is not steady_solver_for(net_b)._lu
-
-    def test_dropped_network_is_released(self):
-        net = self._fresh_network()
-        ref = weakref.ref(net)
-        before = len(_steady_lu_memo)
-        steady_solver_for(net)
-        assert len(_steady_lu_memo) == before + 1
-        del net
-        gc.collect()
-        assert ref() is None, "memo must not pin the network alive"
-        assert len(_steady_lu_memo) == before
-
-    def test_initial_state_uses_memo(self):
-        net = self._fresh_network()
-        t1 = initial_state(net)
-        t2 = initial_state(net)  # second call reuses the cached LU
-        np.testing.assert_array_equal(t1, t2)
-        assert np.allclose(t1, 60.0, atol=1e-6)
-
-
 class TestStepMany:
     def test_columns_match_single_steps(self, net, power):
         solver = TransientSolver(net, dt=0.1)
@@ -193,9 +152,5 @@ class TestFactorizationCounter:
         state = np.full(net.n_nodes, 40.0)
         solver.step(state, np.zeros(net.n_nodes))
         assert factorization_count() == before + 1
-        # Reusing an existing LU is free; factorizing anew is counted.
-        lu = SteadyStateSolver(net)._lu
-        after_steady = factorization_count()
-        assert after_steady == before + 2
-        SteadyStateSolver(net, lu=lu)
-        assert factorization_count() == after_steady
+        SteadyStateSolver(net)
+        assert factorization_count() == before + 2
