@@ -14,7 +14,7 @@ neighborhood at 32x32 through both tiers and prints the factorization
 counts, the preconditioner hit rate, and the worst temperature
 disagreement. The same switch works everywhere: ``repro simulate
 --solver krylov``, a ``solver`` sweep axis, ``repro sweep run
---solver krylov``, and ``repro dist work --solver krylov``.
+--solver krylov``, and ``repro dist plan --solver krylov``.
 
 Run:  python examples/design_neighborhood.py
 """

@@ -290,10 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="fold at most K runs this session, then checkpoint and exit",
         )
         p.add_argument(
-            "--snapshot-every", type=int, default=1, metavar="K",
-            help="aggregator snapshot cadence in the journal (default 1)",
-        )
-        p.add_argument(
             "--save-json", metavar="PATH",
             help="write rows + aggregates as JSON when the sweep completes",
         )
@@ -390,6 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE, metavar="N",
         help=f"runs per leased shard (default {DEFAULT_CHUNK_SIZE})",
     )
+    d_plan.add_argument(
+        "--solver", default=None, choices=("exact", "krylov"),
+        help="override the base config's thermal-solver tier for every "
+        "run; changes the campaign fingerprint, so the merged exports "
+        "name the tier that produced them (krylov matches exact within "
+        "the documented tolerance, not bitwise)",
+    )
 
     d_work = dsub.add_parser(
         "work",
@@ -424,14 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     d_work.add_argument(
         "--quiet", action="store_true", help="suppress per-run progress"
-    )
-    d_work.add_argument(
-        "--solver", default=None, choices=("exact", "krylov"),
-        help="override every run's thermal-solver tier for this worker "
-        "(krylov reuses neighbor factorizations across thermal_params "
-        "design points; results match exact within the documented "
-        "tolerance but the merged campaign loses the bitwise "
-        "guarantee)",
     )
     d_work.add_argument(
         "--trace", metavar="PATH",
@@ -891,8 +886,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _trace_enable(args.trace)
     if args.stop_after is not None and args.stop_after < 1:
         raise SystemExit("--stop-after must be >= 1")
-    if args.snapshot_every < 1:
-        raise SystemExit("--snapshot-every must be >= 1")
 
     reporter = ProgressReporter(
         spec.run_count, label=spec.name or "sweep", quiet=args.quiet
@@ -906,7 +899,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec,
         max_workers=_validated_workers(args),
         checkpoint=args.checkpoint,
-        snapshot_every=args.snapshot_every,
         csv_path=args.save_csv,
         progress=None if args.quiet else _progress,
         stop_after=args.stop_after,
@@ -943,11 +935,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 hint += ["--duration", str(args.duration)]
             if args.seed is not None:
                 hint += ["--seed", str(args.seed)]
+            if args.solver is not None:
+                hint += ["--solver", args.solver]
             hint += ["--checkpoint", str(args.checkpoint)]
             if args.workers != 1:
                 hint += ["--workers", str(args.workers)]
-            if args.snapshot_every != 1:
-                hint += ["--snapshot-every", str(args.snapshot_every)]
             if args.save_csv:
                 hint += ["--save-csv", str(args.save_csv)]
             if args.save_json:
@@ -983,7 +975,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     )
 
     if args.dist_command == "plan":
-        spec = _resolve_spec(args)
+        spec = _solver_override(_resolve_spec(args), args.solver)
         if args.chunk_size < 1:
             raise SystemExit("--chunk-size must be >= 1")
         try:
@@ -1021,7 +1013,6 @@ def _cmd_dist(args: argparse.Namespace) -> int:
                 poll_interval=args.poll_interval,
                 wait=not args.no_wait,
                 progress=None if args.quiet else _progress,
-                solver=args.solver,
             )
         except ConfigurationError as exc:
             raise SystemExit(f"error: {exc}") from None

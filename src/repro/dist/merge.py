@@ -2,8 +2,9 @@
 
 The merger never simulates. It reads every shard journal in canonical
 run-index order and replays each run's journaled aggregator fold
-payloads (:meth:`~repro.sweep.aggregate.Aggregator.update_payload`)
-into aggregators rebuilt from the ledger header — the *same float
+payloads (:func:`~repro.sweep.aggregate.replay_payloads`, the same step
+a sweep checkpoint resume takes) into aggregators rebuilt from the
+ledger header — the *same float
 operations in the same order* a single-host
 :class:`~repro.sweep.runner.SweepRunner` would have performed, so the
 merged aggregates, CSV, and completion JSON are byte-identical to a
@@ -23,7 +24,6 @@ from typing import Optional, Union
 
 from repro.errors import ConfigurationError
 from repro.io.dist import (
-    Ledger,
     Shard,
     read_lease,
     read_ledger,
@@ -34,6 +34,7 @@ from repro.sweep.aggregate import (
     Aggregator,
     aggregate_tables,
     aggregator_from_spec,
+    replay_payloads,
 )
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -136,13 +137,12 @@ def merge_campaign(
         if not folding:
             skipped.append(shard.shard_id)
             continue
-        _validate_journal(ledger, shard, journal, len(aggregators))
+        _validate_journal(shard, journal)
         for row, payloads, seconds in zip(
             journal.rows, journal.payloads, journal.elapsed
         ):
             rows.append(row)
-            for i, agg in enumerate(aggregators):
-                agg.update_payload(payloads[str(i)])
+            replay_payloads(aggregators, payloads)
             elapsed += seconds
         if journal.telemetry is not None:
             telemetry_registry.merge(journal.telemetry)
@@ -163,9 +163,7 @@ def merge_campaign(
     )
 
 
-def _validate_journal(
-    ledger: Ledger, shard: Shard, journal, n_aggregators: int
-) -> None:
+def _validate_journal(shard: Shard, journal) -> None:
     """A complete journal must cover exactly its shard's run range."""
     indices = [row.get("run") for row in journal.rows]
     if indices != list(range(shard.start, shard.stop)):
@@ -174,14 +172,6 @@ def _validate_journal(
             f"expected [{shard.start}, {shard.stop}); re-run the shard "
             "after deleting its journal"
         )
-    for payloads in journal.payloads:
-        missing = [str(i) for i in range(n_aggregators) if str(i) not in payloads]
-        if missing:
-            raise ConfigurationError(
-                f"shard {shard.shard_id} journal lacks fold payloads for "
-                f"aggregator(s) {', '.join(missing)}; it was written by an "
-                "incompatible planner"
-            )
 
 
 # --- status ----------------------------------------------------------------

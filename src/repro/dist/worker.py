@@ -23,7 +23,7 @@ import contextlib
 import os
 import socket
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -41,6 +41,7 @@ from repro.io.dist import (
     open_shard_journal,
     try_claim_lease,
 )
+from repro.io.jsonl import run_record
 from repro.runner.batch import BatchRunner
 from repro.sim.cache import CharacterizationCache
 from repro.sweep.aggregate import Aggregator, aggregator_from_spec
@@ -85,7 +86,6 @@ def _execute_shard(
     lease_ttl: float,
     max_workers: Optional[int],
     progress: Optional[Callable[[SweepPoint, int, float], None]],
-    solver: Optional[str] = None,
 ) -> int:
     """Run one shard's chunk and journal it; returns runs executed."""
     chunk = list(spec.iter_points(shard.start, shard.stop))
@@ -95,23 +95,20 @@ def _execute_shard(
         ledger.shard_journal_path(shard), ledger.fingerprint, shard, worker_id
     )
     try:
-        configs = [
-            point.config if solver is None
-            else replace(point.config, solver=solver)
-            for point in chunk
-        ]
-        batch = BatchRunner(configs, max_workers=max_workers, cache=cache)
+        batch = BatchRunner(
+            [point.config for point in chunk],
+            max_workers=max_workers,
+            cache=cache,
+        )
         # Runs sharing a thermal kernel execute back to back, and each
         # run collapses to its row + fold payloads on whatever process
         # executed it (payload-only transport) — the journal line is
-        # byte-identical to the historical full-result path because
+        # the one a checkpointed sweep writes for the same run, because
         # sweep_row/fold_payload are pure functions of (point, result).
         reducer = FoldReducer([agg.spec() for agg in aggregators])
         tags = [(point.index, point.key) for point in chunk]
         with contextlib.closing(batch.iter_reduced(reducer, tags)) as runs:
             for point, run in zip(chunk, runs):
-                row = run.payload["row"]
-                payloads = run.payload["agg"]
                 # Re-assert ownership *before* touching the journal:
                 # a lost lease means another worker reclaimed the shard
                 # and owns its journal now, so this attempt must stop
@@ -119,14 +116,10 @@ def _execute_shard(
                 if not refresh_lease(lease_path, worker_id, lease_ttl):
                     raise _LeaseLost(shard.shard_id)
                 appender.append(
-                    {
-                        "kind": "run",
-                        "index": point.index,
-                        "key": point.key,
-                        "row": row,
-                        "agg": payloads,
-                        "elapsed_s": run.elapsed,
-                    }
+                    run_record(
+                        point.index, point.key, run.payload["row"],
+                        run.payload["agg"], run.elapsed,
+                    )
                 )
                 if progress is not None:
                     progress(point, shard.index, run.elapsed)
@@ -163,7 +156,6 @@ def run_worker(
     poll_interval: float = 0.5,
     wait: bool = True,
     progress: Optional[Callable[[SweepPoint, int, float], None]] = None,
-    solver: Optional[str] = None,
 ) -> WorkerReport:
     """Work a campaign until it is done (or ``max_shards`` is reached).
 
@@ -191,19 +183,12 @@ def run_worker(
         instead of waiting for other workers' shards to finish.
     progress:
         Callback ``(point, shard_index, elapsed_s)`` per completed run.
-    solver:
-        When set (``"exact"`` or ``"krylov"``), override every run's
-        thermal-solver tier for this worker session. ``"krylov"``
-        trades bitwise identity for neighbor-LU preconditioner reuse
-        across thermal-parameter design points (agreement within
-        :data:`repro.thermal.solver.KRYLOV_TEMPERATURE_TOLERANCE`), so
-        campaigns merged from krylov workers lose the bitwise
-        guarantee. ``None`` (the default) runs each config as planned.
+
+    Every run executes exactly as the ledger's spec declares it,
+    solver tier included (choose the tier when planning, e.g. ``repro
+    dist plan --solver krylov``), so the merged campaign's fingerprint
+    always describes the numbers it exports.
     """
-    if solver is not None and solver not in ("exact", "krylov"):
-        raise ConfigurationError(
-            f"solver must be 'exact' or 'krylov', got {solver!r}"
-        )
     if lease_ttl <= 0:
         raise ConfigurationError("lease_ttl must be positive")
     if max_shards is not None and max_shards < 1:
@@ -263,7 +248,6 @@ def run_worker(
                     report.runs_executed += _execute_shard(
                         ledger, spec, aggregators, shard, cache,
                         report.worker_id, lease_ttl, max_workers, progress,
-                        solver,
                     )
                     report.shards_executed.append(shard.shard_id)
                 done.add(shard.shard_id)

@@ -26,6 +26,26 @@ def json_line(payload: dict) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def run_record(
+    index: int, key: str, row: dict, payloads: dict, elapsed_s: float
+) -> dict:
+    """The ``run`` line of a sweep checkpoint and of a shard journal.
+
+    One record per folded run: its deterministic export row plus each
+    aggregator's fold payload (``payloads``, keyed by aggregator
+    position), which is everything a resume or a merge needs to
+    rebuild the aggregates by replay.
+    """
+    return {
+        "kind": "run",
+        "index": index,
+        "key": key,
+        "row": row,
+        "agg": payloads,
+        "elapsed_s": elapsed_s,
+    }
+
+
 class JsonlAppender:
     """Appends whole JSONL records to a journal, crash-consistently.
 
@@ -34,9 +54,8 @@ class JsonlAppender:
     a kill between two appends leaves a clean journal, and a kill
     *during* an append tears only the trailing line (which
     :func:`read_jsonl` detects and discards). Grouping related records
-    into one ``append`` (e.g. a run line and its snapshot) makes them
-    land atomically-together or not at all on all mainstream
-    filesystems.
+    into one ``append`` makes them land atomically-together or not at
+    all on all mainstream filesystems.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:

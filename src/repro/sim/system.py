@@ -90,7 +90,7 @@ class ThermalSystem:
         )
         self._networks: dict[int, RCNetwork] = {}
         self._transients: dict[tuple, "TransientSolver | KrylovTransientSolver"] = {}
-        self._steadies: dict[tuple, "SteadyStateSolver | KrylovSteadySolver"] = {}
+        self._steadies: dict[int, "SteadyStateSolver | KrylovSteadySolver"] = {}
 
     # --- network/solver caches --------------------------------------------------
 
@@ -142,17 +142,13 @@ class ThermalSystem:
         ) + tail
 
     def transient_solver(
-        self, setting_index: int, dt: float, solver: Optional[str] = None
+        self, setting_index: int, dt: float
     ) -> "TransientSolver | KrylovTransientSolver":
-        """Cached backward-Euler solver for a setting and step size.
-
-        ``solver`` overrides the system-wide tier for this lookup
-        (``"exact"`` or ``"krylov"``); distinct tiers cache separately.
-        """
-        mode = solver if solver is not None else self.solver
-        key = (setting_index, dt, mode)
+        """Cached backward-Euler solver (of the system's tier) for a
+        setting and step size."""
+        key = (setting_index, dt)
         if key not in self._transients:
-            if mode == "krylov":
+            if self.solver == "krylov":
                 built: "TransientSolver | KrylovTransientSolver" = (
                     KrylovTransientSolver(
                         self.network(setting_index),
@@ -167,16 +163,12 @@ class ThermalSystem:
         return self._transients[key]
 
     def steady_solver(
-        self, setting_index: int = -1, solver: Optional[str] = None
+        self, setting_index: int = -1
     ) -> "SteadyStateSolver | KrylovSteadySolver":
-        """Cached steady-state solver for a setting (-1 = air).
-
-        ``solver`` overrides the system-wide tier for this lookup.
-        """
-        mode = solver if solver is not None else self.solver
-        key = (setting_index, mode)
-        if key not in self._steadies:
-            if mode == "krylov":
+        """Cached steady-state solver (of the system's tier) for a
+        setting (-1 = air)."""
+        if setting_index not in self._steadies:
+            if self.solver == "krylov":
                 built: "SteadyStateSolver | KrylovSteadySolver" = KrylovSteadySolver(
                     self.network(setting_index),
                     params=self.params,
@@ -184,8 +176,8 @@ class ThermalSystem:
                 )
             else:
                 built = SteadyStateSolver(self.network(setting_index))
-            self._steadies[key] = built
-        return self._steadies[key]
+            self._steadies[setting_index] = built
+        return self._steadies[setting_index]
 
     # --- steady-state evaluation ---------------------------------------------
 

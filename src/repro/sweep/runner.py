@@ -12,24 +12,25 @@ Checkpoint format (JSON lines, append-only)
 
 ::
 
-    {"kind": "header", "format": "repro-sweep-checkpoint", "version": 1,
+    {"kind": "header", "format": "repro-sweep-checkpoint", "version": 2,
      "name": ..., "fingerprint": ..., "n_runs": N, "aggregators": [...]}
-    {"kind": "run", "index": 0, "key": ..., "row": {...}, "elapsed_s": ...}
-    {"kind": "snapshot", "folded": 1, "state": {"scalar": ..., "cells": ...}}
+    {"kind": "run", "index": 0, "key": ..., "row": {...},
+     "agg": {"0": ..., "1": ...}, "elapsed_s": ...}
     {"kind": "run", "index": 1, ...}
     ...
 
-Each folded run appends a ``run`` line (its deterministic export row)
-and, every ``snapshot_every`` folds, a ``snapshot`` line with the full
-aggregator state. Because folding is strictly in index order, the last
-snapshot's ``folded`` count fully identifies what is done: a resume
-restores aggregators from it, replays the journaled rows before it,
-and re-runs everything after it. Run lines past the last snapshot and
-torn trailing lines (a kill mid-append) are discarded — at most
-``snapshot_every`` runs are ever recomputed. Aggregator state
-round-trips through JSON losslessly and folds replay in the same
-order, so a resumed sweep's aggregates and exports are *bit-identical*
-to an uninterrupted run.
+Each folded run appends one ``run`` line — the same record a
+distributed shard journal writes (:func:`repro.io.jsonl.run_record`):
+the run's deterministic export row plus each aggregator's fold
+payload. Every complete line is durable, so a crash recomputes no
+journaled run. A resume drops a torn trailing line (a kill
+mid-append), checks that the run lines are runs ``0..k-1``, rebuilds
+the aggregators from the header and replays the ``k`` payloads into
+them exactly as :func:`repro.dist.merge_campaign` does
+(:func:`repro.sweep.aggregate.replay_payloads`), then continues from
+run ``k``. The replay performs the same float operations in the same
+order as the uninterrupted fold, so a resumed sweep's aggregates and
+exports are *bit-identical* to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -37,12 +38,19 @@ from __future__ import annotations
 import contextlib
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError
-from repro.io.jsonl import JsonlAppender, json_line, read_jsonl
+from repro.io.jsonl import (
+    JsonlAppender,
+    JsonlDocument,
+    json_line,
+    read_jsonl,
+    run_record,
+    truncate_to_consistent,
+)
 from repro.io.sweep import (
     SweepCsvWriter,
     atomic_write_text,
@@ -56,12 +64,14 @@ from repro.sweep.aggregate import (
     aggregate_tables,
     aggregator_from_spec,
     default_aggregators,
+    fold_payloads,
+    replay_payloads,
 )
 from repro.sweep.spec import SweepPoint, SweepSpec
 from repro.telemetry import trace as _trace
 
 _CHECKPOINT_FORMAT = "repro-sweep-checkpoint"
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 class FoldReducer:
@@ -71,13 +81,11 @@ class FoldReducer:
     parallel sweep ships each run's deterministic export row and
     per-aggregator fold payloads (kilobytes) across the pool boundary
     instead of full time-series arrays. Folding stays byte-identical:
-    ``Aggregator.update()`` is defined as
-    ``update_payload(fold_payload(...))`` and ``fold_payload`` is
-    state-independent, so extracting worker-side and applying
-    parent-side in run order performs the same float operations in the
-    same order as the full-result path. Aggregator instances are
-    rebuilt from their specs lazily per process (pickling ships only
-    the specs).
+    ``fold_payload`` is state-independent, so extracting worker-side
+    and applying parent-side in run order performs the same float
+    operations in the same order as the full-result path. Aggregator
+    instances are rebuilt from their specs lazily per process
+    (pickling ships only the specs).
     """
 
     def __init__(self, aggregator_specs: Sequence[dict]) -> None:
@@ -99,10 +107,7 @@ class FoldReducer:
             ]
         return {
             "row": sweep_row(index, key, config, result),
-            "agg": {
-                str(i): agg.fold_payload(config, result)
-                for i, agg in enumerate(self._aggregators)
-            },
+            "agg": fold_payloads(self._aggregators, config, result),
         }
 
 
@@ -118,6 +123,16 @@ def _spec_rebuildable(aggregators: Sequence[Aggregator]) -> bool:
         )
     except Exception:
         return False
+
+
+def _folds_payloads(agg: Aggregator) -> bool:
+    """Whether a reducer implements the payload split (rather than only
+    overriding ``update``) — the precondition for journaling it."""
+    cls = type(agg)
+    return (
+        cls.fold_payload is not Aggregator.fold_payload
+        and cls.update_payload is not Aggregator.update_payload
+    )
 
 
 @dataclass
@@ -184,7 +199,6 @@ class SweepStatus:
     fingerprint: str
     n_runs: int
     folded: int
-    journaled: int
     elapsed_s: float
     last_key: str = ""
 
@@ -197,29 +211,12 @@ class SweepStatus:
         return 100.0 * self.folded / self.n_runs if self.n_runs else 0.0
 
 
-@dataclass
-class _Journal:
-    """A parsed checkpoint: consistent prefix + restored reducer state."""
+def _parse_journal(document: JsonlDocument, path: Path) -> tuple[dict, list[dict]]:
+    """Validate a parsed checkpoint; returns its header and run lines.
 
-    header: dict
-    rows: list[dict] = field(default_factory=list)  # rows[i] is run i
-    elapsed: list[float] = field(default_factory=list)
-    folded: int = 0
-    agg_state: Optional[dict] = None
-    journaled: int = 0
-    last_key: str = ""
-
-
-def _parse_journal(path: Path) -> _Journal:
-    """Read a checkpoint, tolerating a torn trailing line.
-
-    Returns the journal truncated to its last consistent snapshot:
-    ``rows``/``elapsed`` hold runs ``0..folded-1`` and ``agg_state`` is
-    the matching aggregator snapshot. A torn trailing line (a kill
-    mid-append) is detected by :func:`repro.io.jsonl.read_jsonl` and
-    simply discarded — the resume rewrite truncates it from disk too.
+    The run lines must be runs ``0..k-1`` in order — the only prefix an
+    in-order fold can have journaled.
     """
-    document = read_jsonl(path)
     if not document.entries:
         if document.torn:
             raise ConfigurationError(
@@ -234,57 +231,33 @@ def _parse_journal(path: Path) -> _Journal:
         raise ConfigurationError(f"{path} is not a repro sweep checkpoint")
     if header.get("version") != _CHECKPOINT_VERSION:
         raise ConfigurationError(
-            f"unsupported checkpoint version {header.get('version')!r}"
+            f"checkpoint {path} has format version {header.get('version')!r}, "
+            f"but this version of repro resumes only version "
+            f"{_CHECKPOINT_VERSION}; delete it and start the sweep over"
         )
-    journal = _Journal(header=header)
-    pending_rows: dict[int, dict] = {}
-    pending_elapsed: dict[int, float] = {}
-    snapshots = 0
-    for entry in document.entries[1:]:
-        kind = entry.get("kind")
-        if kind == "run":
-            index = int(entry["index"])
-            pending_rows[index] = entry["row"]
-            pending_elapsed[index] = float(entry.get("elapsed_s", 0.0))
-            journal.journaled += 1
-            journal.last_key = str(entry.get("key", ""))
-        elif kind == "snapshot":
-            folded = int(entry["folded"])
-            missing = [
-                i for i in range(journal.folded, folded) if i not in pending_rows
-            ]
-            if missing:
-                raise ConfigurationError(
-                    f"checkpoint {path} snapshot covers run(s) "
-                    f"{missing[:3]}... with no journaled row"
-                )
-            journal.rows.extend(pending_rows.pop(i) for i in range(journal.folded, folded))
-            journal.elapsed.extend(
-                pending_elapsed.pop(i) for i in range(journal.folded, folded)
-            )
-            journal.folded = folded
-            journal.agg_state = entry["state"]
-            snapshots += 1
-    if journal.folded and journal.agg_state is None:  # pragma: no cover
-        raise ConfigurationError(f"checkpoint {path} has runs but no snapshot")
-    return journal
-
-
-def _journal_line(payload: dict) -> str:
-    return json_line(payload)
+    runs = [entry for entry in document.entries[1:] if entry.get("kind") == "run"]
+    indices = [run.get("index") for run in runs]
+    if indices != list(range(len(runs))):
+        raise ConfigurationError(
+            f"checkpoint {path} run lines are not the consecutive runs "
+            f"0..{len(runs) - 1} (got {indices[:5]}...); delete it and "
+            "start the sweep over"
+        )
+    return header, runs
 
 
 def read_status(path: Union[str, Path]) -> SweepStatus:
-    """Summarize a checkpoint's progress without touching the spec."""
-    journal = _parse_journal(Path(path))
+    """Summarize a checkpoint's progress without touching the spec
+    (or the file: a torn tail is skipped, not repaired)."""
+    path = Path(path)
+    header, runs = _parse_journal(read_jsonl(path), path)
     return SweepStatus(
-        name=str(journal.header.get("name", "")),
-        fingerprint=str(journal.header.get("fingerprint", "")),
-        n_runs=int(journal.header.get("n_runs", 0)),
-        folded=journal.folded,
-        journaled=journal.journaled,
-        elapsed_s=float(sum(journal.elapsed)),
-        last_key=journal.last_key,
+        name=str(header.get("name", "")),
+        fingerprint=str(header.get("fingerprint", "")),
+        n_runs=int(header.get("n_runs", 0)),
+        folded=len(runs),
+        elapsed_s=float(sum(run.get("elapsed_s", 0.0) for run in runs)),
+        last_key=str(runs[-1].get("key", "")) if runs else "",
     )
 
 
@@ -304,9 +277,9 @@ class SweepRunner:
         (``None``/1 = serial; results are identical either way).
     checkpoint:
         Path of the journal file. ``None`` disables checkpointing.
-    snapshot_every:
-        Folds between aggregator snapshots (1 = after every run; a
-        crash recomputes at most this many runs).
+        Every aggregator must then implement the payload split
+        (:meth:`~repro.sweep.aggregate.Aggregator.fold_payload` /
+        ``update_payload``); an ``update``-only reducer is refused here.
     csv_path:
         When set, export rows stream to this CSV as they fold (the
         file is valid after every row; a resume rewrites the journaled
@@ -344,15 +317,12 @@ class SweepRunner:
         aggregators: Optional[Sequence[Aggregator]] = None,
         max_workers: Optional[int] = None,
         checkpoint: Optional[Union[str, Path]] = None,
-        snapshot_every: int = 1,
         csv_path: Optional[Union[str, Path]] = None,
         on_result: Optional[Callable[[SweepPoint, SimulationResult], None]] = None,
         progress: Optional[Callable[[int, int, SweepPoint, float], None]] = None,
         stop_after: Optional[int] = None,
         chunk_size: Optional[int] = None,
     ) -> None:
-        if snapshot_every < 1:
-            raise ConfigurationError("snapshot_every must be >= 1")
         if stop_after is not None and stop_after < 1:
             raise ConfigurationError("stop_after must be >= 1")
         if chunk_size is None:
@@ -366,7 +336,19 @@ class SweepRunner:
         )
         self.max_workers = max_workers
         self.checkpoint = None if checkpoint is None else Path(checkpoint)
-        self.snapshot_every = snapshot_every
+        if self.checkpoint is not None:
+            unjournalable = [
+                type(agg).__name__
+                for agg in self.aggregators
+                if not _folds_payloads(agg)
+            ]
+            if unjournalable:
+                raise ConfigurationError(
+                    f"checkpointed sweeps journal fold payloads, but "
+                    f"{', '.join(unjournalable)} only overrides update(); "
+                    "implement fold_payload/update_payload or run without "
+                    "a checkpoint"
+                )
         self.csv_path = None if csv_path is None else Path(csv_path)
         self.on_result = on_result
         self.progress = progress
@@ -385,67 +367,31 @@ class SweepRunner:
             "aggregators": [agg.spec() for agg in self.aggregators],
         }
 
-    def _load_checkpoint(self) -> _Journal:
-        journal = _parse_journal(self.checkpoint)
+    def _load_checkpoint(self) -> list[dict]:
+        """Repair a torn tail, validate, and replay the journal into the
+        aggregators; returns the journaled run lines."""
+        header, runs = _parse_journal(
+            truncate_to_consistent(self.checkpoint), self.checkpoint
+        )
         fingerprint = self.spec.fingerprint()
-        if journal.header.get("fingerprint") != fingerprint:
+        if header.get("fingerprint") != fingerprint:
             raise ConfigurationError(
                 f"checkpoint {self.checkpoint} belongs to a different sweep "
-                f"(fingerprint {journal.header.get('fingerprint', '?')[:12]}... "
+                f"(fingerprint {header.get('fingerprint', '?')[:12]}... "
                 f"vs this spec's {fingerprint[:12]}...)"
             )
-        # Restore the reducers exactly as the journal ran them. When the
-        # caller supplies aggregators whose specs match the header,
-        # their instances are kept (this is what lets a custom
-        # :class:`Aggregator` subclass resume — the factory only knows
-        # built-in kinds); otherwise the set is rebuilt from the header
-        # so the journaled state always lands in matching reducers.
-        # Snapshot state is keyed by position, so two reducers of the
-        # same kind restore independently.
-        header_specs = journal.header.get("aggregators", [])
+        # Replay into reducers matching the header. When the caller
+        # supplies aggregators whose specs match it, their instances are
+        # kept (this is what lets a custom :class:`Aggregator` subclass
+        # resume — the factory only knows built-in kinds); otherwise the
+        # set is rebuilt from the header so the journaled payloads
+        # always land in matching reducers.
+        header_specs = header.get("aggregators", [])
         if [agg.spec() for agg in self.aggregators] != header_specs:
             self.aggregators = [aggregator_from_spec(s) for s in header_specs]
-        if journal.agg_state is not None:
-            for i, agg in enumerate(self.aggregators):
-                state = journal.agg_state.get(str(i))
-                if state is not None:
-                    agg.load_state(state)
-        return journal
-
-    def _snapshot_state(self) -> dict:
-        return {str(i): agg.state_dict() for i, agg in enumerate(self.aggregators)}
-
-    def _rewrite_consistent_prefix(self, journal: _Journal) -> None:
-        """Truncate the journal to its last snapshot before appending.
-
-        Drops torn trailing lines and folded-but-unsnapshotted run
-        lines, so the append-only invariant (every line before the
-        cursor is live) holds again.
-        """
-        lines = [_journal_line(journal.header)]
-        for i in range(journal.folded):
-            lines.append(
-                _journal_line(
-                    {
-                        "kind": "run",
-                        "index": i,
-                        "key": journal.rows[i].get("key", ""),
-                        "row": journal.rows[i],
-                        "elapsed_s": journal.elapsed[i],
-                    }
-                )
-            )
-        if journal.folded:
-            lines.append(
-                _journal_line(
-                    {
-                        "kind": "snapshot",
-                        "folded": journal.folded,
-                        "state": self._snapshot_state(),
-                    }
-                )
-            )
-        atomic_write_text(self.checkpoint, "\n".join(lines) + "\n")
+        for run in runs:
+            replay_payloads(self.aggregators, run.get("agg", {}))
+        return runs
 
     # --- execution ---------------------------------------------------------
 
@@ -453,7 +399,7 @@ class SweepRunner:
         """Execute (or continue) the sweep; see the class docstring.
 
         With ``resume=True`` and an existing matching checkpoint, folded
-        runs are restored and only the remainder executes. Without
+        runs are replayed from it and only the remainder executes. Without
         ``resume``, an existing checkpoint is an error — refuse to
         silently clobber hours of finished work.
         """
@@ -461,17 +407,17 @@ class SweepRunner:
         # Catch jointly-invalid axis values across the whole expansion
         # up front — never hours into a campaign.
         self.spec.validate_all()
-        journal: Optional[_Journal] = None
-        if self.checkpoint is not None and self.checkpoint.exists():
+        journaled: list[dict] = []
+        resuming = self.checkpoint is not None and self.checkpoint.exists()
+        if resuming:
             if not resume:
                 raise ConfigurationError(
                     f"checkpoint {self.checkpoint} already exists; resume it "
                     "or delete the file to start over"
                 )
-            journal = self._load_checkpoint()
-        folded = journal.folded if journal is not None else 0
-        rows: list[dict] = list(journal.rows) if journal is not None else []
-        resumed = folded
+            journaled = self._load_checkpoint()
+        rows: list[dict] = [run["row"] for run in journaled]
+        folded = resumed = len(rows)
 
         appender = None
         csv_writer = (
@@ -481,13 +427,11 @@ class SweepRunner:
         )
         try:
             if self.checkpoint is not None:
-                if journal is not None:
-                    self._rewrite_consistent_prefix(journal)
-                else:
+                if not resuming:
                     self.checkpoint.parent.mkdir(parents=True, exist_ok=True)
                     atomic_write_text(
                         self.checkpoint,
-                        _journal_line(self._header_payload()) + "\n",
+                        json_line(self._header_payload()) + "\n",
                     )
                 appender = JsonlAppender(self.checkpoint)
 
@@ -497,7 +441,6 @@ class SweepRunner:
                 if self.stop_after is None
                 else min(self.stop_after, remaining_count)
             )
-            session_end = folded + session_count
             session_start = folded  # `folded` mutates in the loop below;
             # the lazy filter must compare against the session's start.
             # Pull the lazy expansion in bounded chunks: resident state
@@ -541,46 +484,38 @@ class SweepRunner:
                         with _trace.span("fold", index=point.index):
                             if reduced:
                                 row = run.payload["row"]
-                                for i, agg in enumerate(self.aggregators):
-                                    agg.update_payload(run.payload["agg"][str(i)])
+                                payloads = run.payload["agg"]
                             else:
                                 row = sweep_row(
                                     point.index, point.key, point.config, run.result
                                 )
+                                # Payloads exist to be journaled; an
+                                # unjournaled full-result fold calls
+                                # update() (update-only reducers allowed).
+                                payloads = (
+                                    None
+                                    if appender is None
+                                    else fold_payloads(
+                                        self.aggregators, point.config, run.result
+                                    )
+                                )
+                            if payloads is None:
                                 for agg in self.aggregators:
                                     agg.update(point.config, run.result)
+                            else:
+                                replay_payloads(self.aggregators, payloads)
                         rows.append(row)
                         folded += 1
                         if appender is not None:
-                            records = [
-                                {
-                                    "kind": "run",
-                                    "index": point.index,
-                                    "key": point.key,
-                                    "row": row,
-                                    "elapsed_s": run.elapsed,
-                                }
-                            ]
-                            # Snapshot on cadence AND at the session end:
-                            # a deliberate stop_after exit knows it is
-                            # stopping, so it must not pay the
-                            # crash-recovery cost of re-running up to
-                            # snapshot_every-1 folds on resume.
-                            if (
-                                (folded - resumed) % self.snapshot_every == 0
-                                or folded == session_end
-                            ):
-                                records.append(
-                                    {
-                                        "kind": "snapshot",
-                                        "folded": folded,
-                                        "state": self._snapshot_state(),
-                                    }
-                                )
                             # One flush+fsync'd write per fold: a kill
                             # can tear at most the trailing line, which
                             # resume detects and truncates.
-                            appender.append(*records)
+                            appender.append(
+                                run_record(
+                                    point.index, point.key, row, payloads,
+                                    run.elapsed,
+                                )
+                            )
                         if csv_writer is not None:
                             csv_writer.write(row)
                         if self.on_result is not None:

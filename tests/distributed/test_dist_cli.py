@@ -17,6 +17,8 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.dist import read_ledger
+from repro.dist.plan import ledger_spec
 
 
 def spec_file(tmp_path, duration=1.0):
@@ -55,6 +57,28 @@ class TestPlanStatus:
         ])
         assert code == 0
         assert "4 runs in 2 shard(s)" in capsys.readouterr().out
+
+    def test_plan_solver_names_the_tier_in_the_fingerprint(self, tmp_path):
+        """The tier is chosen at plan time, so the ledger fingerprint the
+        merged exports carry describes the solver that produced them."""
+        spec = spec_file(tmp_path)
+        exact, krylov = tmp_path / "exact", tmp_path / "krylov"
+        assert main(["dist", "plan", "--spec", spec, "--dir", str(exact)]) == 0
+        assert main([
+            "dist", "plan", "--spec", spec, "--dir", str(krylov),
+            "--solver", "krylov",
+        ]) == 0
+        exact_ledger, krylov_ledger = read_ledger(exact), read_ledger(krylov)
+        assert krylov_ledger.fingerprint != exact_ledger.fingerprint
+        assert ledger_spec(krylov_ledger).base.solver == "krylov"
+
+    def test_work_has_no_solver_override(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([
+                "dist", "work", "--dir", str(tmp_path), "--solver", "krylov",
+            ])
+        assert info.value.code == 2  # argparse usage error
+        assert "unrecognized arguments: --solver" in capsys.readouterr().err
 
     def test_plan_rejects_bad_chunk_size(self, tmp_path):
         with pytest.raises(SystemExit, match="chunk-size"):

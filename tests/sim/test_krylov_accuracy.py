@@ -211,11 +211,4 @@ class TestSolverModeSelection:
             krylov_sys.transient_solver(0, 0.1), KrylovTransientSolver
         )
         assert isinstance(krylov_sys.steady_solver(0), KrylovSteadySolver)
-        # Per-call override wins over the system-wide tier and caches
-        # separately.
-        assert isinstance(
-            exact_sys.transient_solver(0, 0.1, solver="krylov"),
-            KrylovTransientSolver,
-        )
-        assert isinstance(exact_sys.transient_solver(0, 0.1), TransientSolver)
         clear_neighbor_cache()

@@ -1,4 +1,4 @@
-"""Streaming aggregators: reduction math and lossless state round-trip."""
+"""Streaming aggregators: reduction math and exact journal replay."""
 
 import json
 
@@ -10,7 +10,9 @@ from repro.sim.config import CoolingMode, PolicyKind, SimulationConfig
 from repro.sim.engine import simulate
 from repro.sweep import (
     CellAggregator,
+    HistogramAggregator,
     MomentsAggregator,
+    QuantileAggregator,
     RunningStats,
     ScalarAggregator,
     WelfordMoments,
@@ -53,19 +55,6 @@ class TestRunningStats:
     def test_empty_mean_is_nan(self):
         assert np.isnan(RunningStats().mean)
 
-    def test_state_round_trip_is_exact(self):
-        stats = RunningStats()
-        for v in (0.1, 0.2, 0.30000000000000004):
-            stats.add(v)
-        restored = RunningStats.from_state(
-            json.loads(json.dumps(stats.state_dict()))
-        )
-        assert restored.total == stats.total  # bit-equal, not approx
-        assert restored.count == stats.count
-        assert restored.minimum == stats.minimum
-        assert restored.maximum == stats.maximum
-
-
 class TestScalarAggregator:
     def test_groups_by_label(self, runs):
         agg = ScalarAggregator(metrics=("peak_temperature", "total_energy_j"))
@@ -93,22 +82,15 @@ class TestScalarAggregator:
         with pytest.raises(ConfigurationError, match="unknown metrics"):
             ScalarAggregator(metrics=("nope",))
 
-    def test_state_round_trip_preserves_rows_exactly(self, runs):
-        agg = ScalarAggregator()
-        for config, result in runs:
-            agg.update(config, result)
-        clone = aggregator_from_spec(agg.spec())
-        clone.load_state(json.loads(json.dumps(agg.state_dict())))
-        assert clone.rows() == agg.rows()
-
     def test_mid_stream_restore_matches_uninterrupted(self, runs):
+        """A resume rebuilds the reducer from its spec, replays the
+        journaled payload prefix, then keeps folding live."""
         full = ScalarAggregator()
         for config, result in runs:
             full.update(config, result)
-        half = ScalarAggregator()
-        half.update(*runs[0])
-        restored = aggregator_from_spec(half.spec())
-        restored.load_state(json.loads(json.dumps(half.state_dict())))
+        journal = json.loads(json.dumps(full.fold_payload(*runs[0])))
+        restored = aggregator_from_spec(json.loads(json.dumps(full.spec())))
+        restored.update_payload(journal)
         for config, result in runs[1:]:
             restored.update(config, result)
         assert restored.rows() == full.rows()  # bit-equal sums
@@ -125,15 +107,6 @@ class TestCellAggregator:
         assert rows[name]["runs"] == len(runs)
         peaks = [r.unit_temperatures[:, 0].max() for _, r in runs]
         assert rows[name]["peak_temperature"] == pytest.approx(max(peaks))
-
-    def test_state_round_trip(self, runs):
-        agg = CellAggregator()
-        for config, result in runs:
-            agg.update(config, result)
-        clone = CellAggregator()
-        clone.load_state(json.loads(json.dumps(agg.state_dict())))
-        assert clone.rows() == agg.rows()
-
 
 class TestWelfordMoments:
     def test_matches_numpy_mean_and_sample_variance(self):
@@ -160,18 +133,6 @@ class TestWelfordMoments:
         assert np.isnan(moments.variance)
         moments.add(2.0)
         assert moments.variance == pytest.approx(0.5)
-
-    def test_state_round_trip_is_exact(self):
-        moments = WelfordMoments()
-        for v in (0.1, 0.2, 0.30000000000000004, 7.7):
-            moments.add(v)
-        restored = WelfordMoments.from_state(
-            json.loads(json.dumps(moments.state_dict()))
-        )
-        assert restored.count == moments.count
-        assert restored.mean == moments.mean  # bit-equal, not approx
-        assert restored.m2 == moments.m2
-
 
 class TestMomentsAggregator:
     def test_groups_by_label_and_matches_numpy(self, runs):
@@ -202,33 +163,45 @@ class TestMomentsAggregator:
             MomentsAggregator(metrics=("nope",))
 
     def test_mid_stream_restore_matches_uninterrupted(self, runs):
-        """The checkpoint/resume contract: journal state mid-stream,
-        restore, finish folding — bit-equal rows."""
+        """The checkpoint/resume contract: replay the journaled payload
+        prefix into a rebuilt reducer, finish folding — bit-equal rows."""
         full = MomentsAggregator()
         for config, result in runs:
             full.update(config, result)
-        half = MomentsAggregator()
-        half.update(*runs[0])
-        restored = aggregator_from_spec(half.spec())
-        restored.load_state(json.loads(json.dumps(half.state_dict())))
+        journal = json.loads(json.dumps(full.fold_payload(*runs[0])))
+        restored = aggregator_from_spec(full.spec())
+        restored.update_payload(journal)
         for config, result in runs[1:]:
             restored.update(config, result)
         assert restored.rows() == full.rows()
 
     def test_fold_update_split_replays_exactly(self, runs):
-        """Distributed merge replays journaled fold payloads in run
-        order; the result must equal direct folding bit-for-bit."""
-        direct = MomentsAggregator()
-        journal = []
-        for config, result in runs:
-            payload = direct.fold_payload(config, result)
-            direct.update_payload(payload)
-            journal.append(json.loads(json.dumps(payload)))
-        replayed = MomentsAggregator()
-        for payload in journal:
-            replayed.update_payload(payload)
-        assert replayed.rows() == direct.rows()
-        assert replayed.state_dict() == direct.state_dict()
+        """A resume replays a journaled payload prefix then folds live;
+        a distributed merge replays every payload. Either must equal
+        direct folding bit-for-bit, at every cut, for each
+        order-sensitive reducer (the auto-range histogram freezes its
+        range mid-stream here)."""
+        specs = [
+            MomentsAggregator().spec(),
+            QuantileAggregator().spec(),
+            HistogramAggregator(
+                metric="total_energy_j", lo=None, hi=None, warmup=2
+            ).spec(),
+        ]
+        for spec in specs:
+            direct = aggregator_from_spec(spec)
+            journal = []
+            for config, result in runs:
+                payload = direct.fold_payload(config, result)
+                direct.update_payload(payload)
+                journal.append(json.loads(json.dumps(payload)))
+            for cut in range(len(runs) + 1):
+                resumed = aggregator_from_spec(spec)
+                for payload in journal[:cut]:
+                    resumed.update_payload(payload)
+                for config, result in runs[cut:]:
+                    resumed.update(config, result)
+                assert resumed.rows() == direct.rows(), (spec["kind"], cut)
 
 
 class TestFactory:

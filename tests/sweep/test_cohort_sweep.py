@@ -203,12 +203,6 @@ class TestPayloadTransport:
             def update(self, config, result):
                 self.peaks.append(result.peak_temperature())
 
-            def state_dict(self):
-                return {"peaks": self.peaks}
-
-            def load_state(self, state):
-                self.peaks = list(state["peaks"])
-
             def rows(self):
                 return []
 

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.dist import plan_campaign, read_ledger, run_worker
 from repro.errors import ConfigurationError
+from repro.io.jsonl import json_line, read_jsonl
 from repro.runner import BatchRunner
 from repro.sim.config import SimulationConfig
 from repro.sweep import Aggregator, SweepRunner, SweepSpec, read_status
@@ -18,6 +20,15 @@ def small_spec(name="small", duration=1.0):
         grid={"benchmark_name": ["gzip", "Web-med"], "cooling": ["Var", "Max"]},
         name=name,
     )
+
+
+def run_lines_without_timing(path):
+    """A journal's run lines minus their wall-clock ``elapsed_s``."""
+    return [
+        {k: v for k, v in entry.items() if k != "elapsed_s"}
+        for entry in read_jsonl(path).entries
+        if entry["kind"] == "run"
+    ]
 
 
 class TestStreamingRun:
@@ -165,22 +176,102 @@ class TestCheckpointResume:
         result = SweepRunner(small_spec(), checkpoint=ck).run(resume=True)
         assert result.complete
 
-    def test_run_line_without_snapshot_is_rerun(self, tmp_path):
-        """A kill between the run append and its snapshot loses at most
-        that run; the resume recomputes it."""
+    def test_checkpoint_run_lines_are_shard_journal_records(self, tmp_path):
+        """A checkpoint is a header plus one shard-journal run record per
+        fold (no aggregator snapshots): the same keys, in the same order,
+        and the same row and payloads as a dist worker journals."""
+        spec = small_spec()
         ck = tmp_path / "ck.jsonl"
-        SweepRunner(small_spec(), checkpoint=ck, stop_after=3).run()
-        lines = ck.read_text().splitlines()
-        assert json.loads(lines[-1])["kind"] == "snapshot"
-        ck.write_text("\n".join(lines[:-1]) + "\n")  # Drop the last snapshot.
-        executed = []
-        result = SweepRunner(
-            small_spec(),
-            checkpoint=ck,
-            on_result=lambda p, r: executed.append(p.index),
-        ).run(resume=True)
-        assert result.complete
-        assert executed == [2, 3]
+        SweepRunner(spec, checkpoint=ck).run()
+        entries = read_jsonl(ck).entries
+        assert [e["kind"] for e in entries] == ["header"] + ["run"] * 4
+        plan_campaign(spec, tmp_path / "camp", chunk_size=4)
+        run_worker(tmp_path / "camp", wait=False)
+        ledger = read_ledger(tmp_path / "camp")
+        shard_path = ledger.shard_journal_path(ledger.shards[0])
+        shard_runs = [
+            e for e in read_jsonl(shard_path).entries if e["kind"] == "run"
+        ]
+        assert [list(e) for e in entries[1:]] == [list(e) for e in shard_runs]
+        assert run_lines_without_timing(ck) == run_lines_without_timing(
+            shard_path
+        )
+
+    def test_resume_from_every_prefix_is_bit_identical(self, tmp_path):
+        """Cut an uninterrupted checkpoint after k run lines (and once
+        inside a torn line): resume executes exactly runs k..n-1, and its
+        CSV, JSON and finished journal match the uninterrupted run's."""
+        spec = small_spec()
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        full = SweepRunner(
+            spec, checkpoint=ref / "ck.jsonl", csv_path=ref / "out.csv"
+        ).run()
+        full.save_json(ref / "out.json")
+        lines = (ref / "ck.jsonl").read_text().splitlines(keepends=True)
+        n = full.n_runs
+        assert len(lines) == 1 + n
+        cases = [(k, "") for k in range(n + 1)]
+        cases.append((2, lines[3][: len(lines[3]) // 2]))  # Torn run 2.
+        for k, torn in cases:
+            case = tmp_path / f"cut{k}{'-torn' if torn else ''}"
+            case.mkdir()
+            (case / "ck.jsonl").write_text("".join(lines[: 1 + k]) + torn)
+            executed = []
+            resumed = SweepRunner(
+                spec,
+                checkpoint=case / "ck.jsonl",
+                csv_path=case / "out.csv",
+                progress=lambda folded, total, point, s: executed.append(
+                    point.index
+                ),
+            ).run(resume=True)
+            resumed.save_json(case / "out.json")
+            assert executed == list(range(k, n)), case.name
+            assert resumed.resumed == k
+            for name in ("out.csv", "out.json"):
+                assert (case / name).read_bytes() == (ref / name).read_bytes(), (
+                    case.name, name,
+                )
+            assert run_lines_without_timing(
+                case / "ck.jsonl"
+            ) == run_lines_without_timing(ref / "ck.jsonl")
+
+    def test_version_1_checkpoint_is_refused(self, tmp_path):
+        """A snapshot-era checkpoint names its path and says to start
+        over, for resume and status alike."""
+        ck = tmp_path / "ck.jsonl"
+        SweepRunner(small_spec(), checkpoint=ck, stop_after=1).run()
+        header, run = read_jsonl(ck).entries
+        header["version"] = 1
+        del run["agg"]
+        snapshot = {"kind": "snapshot", "folded": 1, "state": {}}
+        ck.write_text("".join(json_line(e) + "\n" for e in (header, run, snapshot)))
+        for attempt in (
+            lambda: read_status(ck),
+            lambda: SweepRunner(small_spec(), checkpoint=ck).run(resume=True),
+        ):
+            with pytest.raises(ConfigurationError, match="start the sweep over") as info:
+                attempt()
+            assert str(ck) in str(info.value)
+
+    def test_update_only_reducer_is_refused_before_any_run(self, tmp_path):
+        class Peaks(Aggregator):
+            kind = "peaks"
+
+            def spec(self):
+                return {"kind": self.kind}
+
+            def update(self, config, result):
+                raise AssertionError("no run may fold")
+
+            def rows(self):
+                return []
+
+        ck = tmp_path / "ck.jsonl"
+        with pytest.raises(ConfigurationError, match="Peaks only overrides update"):
+            SweepRunner(small_spec(), aggregators=[Peaks()], checkpoint=ck).run()
+        assert not ck.exists()
 
     def test_existing_checkpoint_without_resume_is_refused(self, tmp_path):
         ck = tmp_path / "ck.jsonl"
@@ -198,25 +289,6 @@ class TestCheckpointResume:
         with pytest.raises(ConfigurationError, match="different sweep"):
             SweepRunner(other, checkpoint=ck).run(resume=True)
 
-    def test_snapshot_every_reduces_journal_snapshots(self, tmp_path):
-        ck = tmp_path / "ck.jsonl"
-        SweepRunner(small_spec(), checkpoint=ck, snapshot_every=2).run()
-        kinds = [json.loads(line)["kind"] for line in ck.read_text().splitlines()]
-        assert kinds.count("snapshot") == 2  # After runs 2 and 4.
-
-    def test_stop_after_snapshots_at_session_end(self, tmp_path):
-        """A deliberate session end must not lose cleanly-folded runs
-        to the snapshot cadence."""
-        ck = tmp_path / "ck.jsonl"
-        SweepRunner(
-            small_spec(), checkpoint=ck, stop_after=3, snapshot_every=2
-        ).run()
-        assert read_status(ck).folded == 3  # Not 2.
-        result = SweepRunner(
-            small_spec(), checkpoint=ck, snapshot_every=2
-        ).run(resume=True)
-        assert result.resumed == 3
-
     def test_custom_aggregator_instances_survive_resume(self, tmp_path):
         class CompletedCounter(Aggregator):
             kind = "completed-counter"
@@ -227,14 +299,11 @@ class TestCheckpointResume:
             def spec(self):
                 return {"kind": self.kind}
 
-            def update(self, config, result):
-                self.total += result.total_completed()
+            def fold_payload(self, config, result):
+                return {"completed": int(result.total_completed())}
 
-            def state_dict(self):
-                return {"total": self.total}
-
-            def load_state(self, state):
-                self.total = int(state["total"])
+            def update_payload(self, payload):
+                self.total += payload["completed"]
 
             def rows(self):
                 return [{"total_completed": self.total}]
@@ -246,7 +315,7 @@ class TestCheckpointResume:
             spec, aggregators=[CompletedCounter()], checkpoint=ck, stop_after=2
         ).run()
         # The factory cannot build this kind; the caller's matching
-        # instance must be kept and restored instead.
+        # instance must be kept and the journal replayed into it.
         resumed = SweepRunner(
             spec, aggregators=[CompletedCounter()], checkpoint=ck
         ).run(resume=True)

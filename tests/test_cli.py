@@ -291,6 +291,17 @@ class TestSweepCommand:
         assert code == 0
         assert "2 restored from checkpoint, 2 run now" in capsys.readouterr().out
 
+    def test_resume_hint_echoes_solver(self, tmp_path, capsys):
+        """--solver shapes the fingerprint, so the printed resume command
+        must carry it to work verbatim."""
+        code = main([
+            "sweep", "run", "--spec", self._spec_file(tmp_path, duration=0.5),
+            "--solver", "krylov", "--checkpoint", str(tmp_path / "ck.jsonl"),
+            "--stop-after", "1", "--quiet",
+        ])
+        assert code == 0
+        assert "--solver krylov --checkpoint" in capsys.readouterr().out
+
     def test_unknown_spec_is_clear_error(self):
         with pytest.raises(SystemExit, match="neither a built-in name"):
             main(["sweep", "run", "--spec", "not-a-spec"])
