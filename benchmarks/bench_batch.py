@@ -60,9 +60,9 @@ def test_batch_parallel_speedup(benchmark):
     configs = _sweep_configs()
     cache = CharacterizationCache().warm(configs)
 
-    serial = BatchRunner(configs, cache=cache, warm=False).run()
+    serial = BatchRunner(configs, cache=cache).run()
     parallel = benchmark.pedantic(
-        lambda: BatchRunner(configs, max_workers=4, cache=cache, warm=False).run(),
+        lambda: BatchRunner(configs, max_workers=4, cache=cache).run(),
         rounds=1,
         iterations=1,
     )

@@ -161,8 +161,9 @@ RunReducer = Callable[[Any, SimulationConfig, Any], Any]
 
 def _execute_group(
     task: tuple[list[tuple], Optional[RunReducer]],
-) -> list:
-    """Run one task group (a cohort or a slice of one) as a plain loop.
+) -> Iterator:
+    """Run one task group (a cohort or a slice of one) as a plain loop,
+    yielding each member as soon as it completes.
 
     ``task`` is ``(group, reducer)`` with ``group`` a list of
     ``(index, config, trace, tag)``. Each member builds its own
@@ -172,7 +173,7 @@ def _execute_group(
     :class:`ReducedRun` before leaving the process.
     """
     group, reducer = task
-    items = []
+    runs = _metrics.counter("runner.runs")
     with _trace.span("cohort.execute", n_members=len(group)):
         for index, config, trace, tag in group:
             start = time.perf_counter()
@@ -181,13 +182,12 @@ def _execute_group(
             ):
                 result = engine.Simulator(config, trace=trace).run()
             elapsed = time.perf_counter() - start
+            runs.inc()
             if reducer is None:
-                items.append(BatchRun(index, config, result, elapsed))
+                yield BatchRun(index, config, result, elapsed)
             else:
                 payload = reducer(tag, config, result)
-                items.append(ReducedRun(index, config, payload, elapsed))
-    _metrics.counter("runner.runs").inc(len(group))
-    return items
+                yield ReducedRun(index, config, payload, elapsed)
 
 
 def _execute_group_remote(task: tuple) -> tuple[list, dict]:
@@ -200,7 +200,7 @@ def _execute_group_remote(task: tuple) -> tuple[list, dict]:
     the pool exactly as they do serially.
     """
     before = _metrics.snapshot()
-    items = _execute_group(task)
+    items = list(_execute_group(task))
     return items, _metrics.snapshot_diff(before, _metrics.snapshot())
 
 
@@ -239,12 +239,12 @@ class BatchRunner:
         parallel batch warms and ships to workers); defaults to the
         process-wide engine cache so batches share characterizations
         with prior in-process runs.
-    warm:
-        Pre-derive all needed characterizations in the parent before
-        fanning out (strongly recommended: the artifacts are computed
-        once instead of once per worker). A serial batch never
-        pre-warms: each run derives what it needs on the system it
-        already holds, so no system is built twice.
+
+    A parallel batch pre-derives every needed characterization in the
+    parent before fanning out, so the artifacts are computed once
+    instead of once per worker. A serial batch never pre-warms: each
+    run derives what it needs on the system it already holds, so no
+    system is built twice.
 
     Runs are ordered by thermal cohort (see :mod:`repro.runner.cohort`)
     so runs sharing a network execute back to back and reuse its
@@ -259,7 +259,6 @@ class BatchRunner:
         traces: Optional[Sequence[Optional[ThreadTrace]]] = None,
         max_workers: Optional[int] = None,
         cache: Optional[CharacterizationCache] = None,
-        warm: bool = True,
     ) -> None:
         if not configs:
             raise ConfigurationError("a batch needs at least one config")
@@ -272,7 +271,6 @@ class BatchRunner:
             list(traces) if traces is not None else [None] * len(configs)
         )
         self.cache = cache if cache is not None else engine.default_cache()
-        self.warm = warm
         if max_workers is None:
             self.max_workers = 1
         elif max_workers < 1:
@@ -305,10 +303,7 @@ class BatchRunner:
         Groups are ordered by first member; members keep submission
         order.
         """
-        # neighbors=True: krylov-solver configs differing only in
-        # thermal_params group into one cohort so they execute back to
-        # back and reuse each other's preconditioner LUs.
-        groups = group_cohorts(self.configs, neighbors=True)
+        groups = group_cohorts(self.configs)
         if self.max_workers > 1:
             groups = [
                 part
@@ -322,15 +317,24 @@ class BatchRunner:
         reducer: Optional[RunReducer],
         tags: Optional[Sequence],
     ) -> Iterator:
-        """Shared engine behind :meth:`iter_runs` / :meth:`iter_reduced`.
-
-        Executes the planned groups and re-emits their members in
-        global submission order: a group's results are buffered until
-        every earlier index has landed, so downstream folds stay
-        deterministic however runs were grouped or scheduled.
-        """
-        if self.warm and self.max_workers > 1:
+        """Shared engine behind :meth:`iter_runs` / :meth:`iter_reduced`:
+        pre-warm a parallel batch's cache on first use, then execute."""
+        if self.max_workers > 1:
             self.warm_cache()
+        yield from self._execute(reducer, tags)
+
+    def _execute(
+        self,
+        reducer: Optional[RunReducer],
+        tags: Optional[Sequence],
+    ) -> Iterator:
+        """Execute the planned groups and re-emit their members in
+        global submission order: a member is buffered until every
+        earlier index has landed, so downstream folds stay
+        deterministic however runs were grouped or scheduled. Serial
+        groups stream member by member; a pool worker ships its whole
+        group at once.
+        """
         tasks = [
             (
                 [
@@ -363,7 +367,7 @@ class BatchRunner:
                 for task in tasks:
                     for item in _execute_group(task):
                         buffered[item.index] = item
-                    yield from ready()
+                        yield from ready()
             finally:
                 engine.set_default_cache(previous)
         else:
@@ -391,8 +395,8 @@ class BatchRunner:
         (:class:`repro.sweep.SweepRunner`): each :class:`BatchRun` is
         yielded as soon as it (and everything before it) has finished,
         so a consumer holds O(in-flight) results instead of O(batch)
-        (cohort grouping raises the in-flight bound to O(cohort
-        slice)). Yield order is always submission order — downstream
+        (a parallel batch's in-flight bound is O(cohort slice): each
+        worker ships its slice at once). Yield order is always submission order — downstream
         folds (aggregators, journals) are therefore deterministic
         regardless of worker scheduling. Closing the generator early
         cancels the unconsumed remainder of a parallel batch.
@@ -421,13 +425,9 @@ class BatchRunner:
 
     def run(self) -> BatchResult:
         """Execute the batch; results come back in submission order."""
-        warm_time = self.warm_cache() if self.warm and self.max_workers > 1 else 0.0
-        was_warm, self.warm = self.warm, False
+        warm_time = self.warm_cache() if self.max_workers > 1 else 0.0
         start = time.perf_counter()
-        try:
-            runs = list(self.iter_runs())
-        finally:
-            self.warm = was_warm
+        runs = list(self._execute(None, None))
         return BatchResult(
             runs=runs,
             wall_time=time.perf_counter() - start,

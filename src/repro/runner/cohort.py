@@ -66,30 +66,24 @@ def structural_signature(config: SimulationConfig) -> tuple:
     ) + (config.sampling_interval,)
 
 
-def group_cohorts(
-    configs: Sequence[SimulationConfig], neighbors: bool = False
-) -> list[list[int]]:
+def group_cohorts(configs: Sequence[SimulationConfig]) -> list[list[int]]:
     """Partition config indices into cohorts sharing one thermal kernel.
 
     Returns index lists: every index appears in exactly one cohort (a
     true partition — property-tested over arbitrary sweep expansions),
-    all members of a cohort agree on :func:`cohort_signature`, cohorts
-    are ordered by first appearance, and members keep submission
-    order.
+    cohorts are ordered by first appearance, and members keep
+    submission order.
 
-    With ``neighbors=True``, ``solver="krylov"`` configs group by
-    :func:`structural_signature` instead, so design points that differ
-    only in ``thermal_params`` values land in one *neighbor cohort*
-    and share the preconditioner pool (and the in-process LRU caches)
-    by running back to back. Exact-solver configs always group by the
-    full :func:`cohort_signature`.
+    Exact-solver configs group by the full :func:`cohort_signature`.
+    ``solver="krylov"`` configs group by :func:`structural_signature`
+    instead, so design points that differ only in ``thermal_params``
+    values land in one *neighbor cohort* and share the preconditioner
+    pool (and the in-process LRU caches) by running back to back.
     """
-    with _trace.span(
-        "cohort.plan", n_configs=len(configs), neighbors=neighbors
-    ) as plan_span:
+    with _trace.span("cohort.plan", n_configs=len(configs)) as plan_span:
         groups: dict[tuple, list[int]] = {}
         for i, config in enumerate(configs):
-            if neighbors and config.solver == "krylov":
+            if config.solver == "krylov":
                 key: tuple = ("structural",) + structural_signature(config)
             else:
                 key = ("exact",) + cohort_signature(config)

@@ -38,20 +38,6 @@ each distinct (network, dt) system exactly once, and
 this counter rather than on wall-clock."""
 
 
-def factorization_count() -> int:
-    """LU factorizations performed so far in this process.
-
-    Byte-compatible shim over the ``solver.factorizations`` telemetry
-    counter. Monotonic; callers measure a campaign by snapshotting
-    before and after (there is deliberately no reset here — concurrent
-    measurement scopes would clobber each other's baselines)."""
-    return _FACTORIZATIONS.value()
-
-
-def _count_factorization() -> None:
-    _FACTORIZATIONS.inc()
-
-
 class SteadyStateSolver:
     """Solves ``G T = P + b`` for the equilibrium temperature field."""
 
@@ -62,7 +48,7 @@ class SteadyStateSolver:
                 self._lu = spla.splu(network.conductance.tocsc())
             except RuntimeError as exc:
                 raise SolverError(f"steady-state factorization failed: {exc}") from exc
-        _count_factorization()
+        _FACTORIZATIONS.inc()
 
     def solve(self, power: np.ndarray) -> np.ndarray:
         """Equilibrium temperatures for a per-node power injection (W)."""
@@ -126,7 +112,7 @@ class TransientSolver:
                 self._lu = spla.splu(system.tocsc())
             except RuntimeError as exc:
                 raise SolverError(f"transient factorization failed: {exc}") from exc
-        _count_factorization()
+        _FACTORIZATIONS.inc()
         self._c_over_dt = c_over_dt
 
     def step(self, temperatures: np.ndarray, power: np.ndarray) -> np.ndarray:
@@ -227,44 +213,23 @@ usable neighbor preconditioner converges in a handful of iterations;
 hitting this budget means the neighbor was too far away, and the
 solver falls back to an exact factorization of its own matrix."""
 
-_KRYLOV_STAT_KEYS = (
-    "preconditioner_hits",
-    "preconditioner_misses",
-    "fallbacks",
-    "iterations",
-    "gmres_solves",
-    "direct_solves",
-)
-_KRYLOV_COUNTERS = {
-    key: _metrics.counter("solver.krylov." + key) for key in _KRYLOV_STAT_KEYS
-}
+_PRECOND_HITS = _metrics.counter("solver.krylov.preconditioner_hits")
+"""Krylov solver constructions that found a retained neighbor (or
+exact) LU in the pool."""
+_PRECOND_MISSES = _metrics.counter("solver.krylov.preconditioner_misses")
+"""Krylov solver constructions that found none and factorized."""
+_FALLBACKS = _metrics.counter("solver.krylov.fallbacks")
+"""GMRES stalls that forced an exact factorization."""
+_ITERATIONS = _metrics.counter("solver.krylov.iterations")
+"""Inner GMRES iterations, summed over every solve."""
+_GMRES_SOLVES = _metrics.counter("solver.krylov.gmres_solves")
+"""Solves answered by GMRES."""
+_DIRECT_SOLVES = _metrics.counter("solver.krylov.direct_solves")
+"""Solves (right-hand sides) served by an exact LU: own
+factorization, exact pool hit, or post-fallback."""
 _AMORTIZED = _metrics.counter("solver.krylov.amortized")
 """Multi-RHS calls that factorized their solver's own matrix (see
-:meth:`_KrylovLinearSolver.solve_linear_many`). Deliberately not in
-``_KRYLOV_STAT_KEYS``, so :func:`krylov_stats` keeps its keys."""
-
-
-def krylov_stats() -> dict:
-    """Process-wide Krylov solver counters (monotonic, like
-    :func:`factorization_count`; snapshot before/after to measure).
-
-    Byte-compatible shim over the ``solver.krylov.*`` telemetry
-    counters; always a freshly built dict, so mutating the returned
-    mapping cannot corrupt the live counters.
-
-    ``preconditioner_hits``/``preconditioner_misses`` count solver
-    constructions that found / failed to find a retained neighbor LU;
-    ``fallbacks`` counts GMRES stalls that forced an exact
-    factorization; ``iterations``/``gmres_solves`` accumulate inner
-    GMRES work; ``direct_solves`` counts solves served by an exact LU
-    (own factorization, exact cache hit, or post-fallback).
-    """
-    return {key: counter.value() for key, counter in _KRYLOV_COUNTERS.items()}
-
-
-def _bump_krylov(**deltas: int) -> None:
-    for key, delta in deltas.items():
-        _KRYLOV_COUNTERS[key].inc(delta)
+:meth:`_KrylovLinearSolver.solve_linear_many`)."""
 
 
 def structure_signature(network: RCNetwork) -> tuple:
@@ -459,14 +424,14 @@ class _KrylovLinearSolver:
             # Same structure + params => bit-identical matrix (canonical
             # assembly), so this LU solves exactly, no iteration needed.
             self._lu = lu
-            _bump_krylov(preconditioner_hits=1)
+            _PRECOND_HITS.inc()
             return
         near = self._cache.nearest(structure, _params_vector(params))
         if near is not None:
             self._precond, self.neighbor_distance = near
-            _bump_krylov(preconditioner_hits=1)
+            _PRECOND_HITS.inc()
         else:
-            _bump_krylov(preconditioner_misses=1)
+            _PRECOND_MISSES.inc()
             self._factorize("miss")
 
     def _factorize(self, reason: str) -> spla.SuperLU:
@@ -487,7 +452,7 @@ class _KrylovLinearSolver:
                     raise SolverError(
                         f"krylov factorization failed: {exc}"
                     ) from exc
-            _count_factorization()
+            _FACTORIZATIONS.inc()
             self._cache.retain(self.structure, self._params, self._lu)
             self._precond = None
         return self._lu
@@ -495,7 +460,7 @@ class _KrylovLinearSolver:
     def solve_linear(self, rhs: np.ndarray, x0: Optional[np.ndarray]) -> np.ndarray:
         """Solve ``A x = rhs`` to the residual tolerance."""
         if self._lu is not None:
-            _bump_krylov(direct_solves=1)
+            _DIRECT_SOLVES.inc()
             out = self._lu.solve(rhs)
             if not np.all(np.isfinite(out)):
                 raise SolverError("krylov direct solve produced non-finite values")
@@ -513,7 +478,8 @@ class _KrylovLinearSolver:
                 restart=self.max_iterations, maxiter=1, callback=_count,
             )
             gmres_span.set_attrs(iterations=iterations[0], info=int(info))
-        _bump_krylov(gmres_solves=1, iterations=iterations[0])
+        _GMRES_SOLVES.inc()
+        _ITERATIONS.inc(iterations[0])
         if info == 0 and np.all(np.isfinite(x)):
             # Trust but verify: the documented contract is the true
             # residual, not GMRES's preconditioned estimate.
@@ -525,7 +491,8 @@ class _KrylovLinearSolver:
         # enough — factorize our own matrix and answer exactly. The LU
         # is kept, so subsequent steps of this solver are direct.
         self.fallback_count += 1
-        _bump_krylov(fallbacks=1, direct_solves=1)
+        _FALLBACKS.inc()
+        _DIRECT_SOLVES.inc()
         out = self._factorize("fallback").solve(rhs)
         if not np.all(np.isfinite(out)):
             raise SolverError("krylov fallback solve produced non-finite values")
@@ -546,7 +513,7 @@ class _KrylovLinearSolver:
         if self._lu is None:
             self._factorize("amortize")
             _AMORTIZED.inc()
-        _bump_krylov(direct_solves=rhs.shape[1])
+        _DIRECT_SOLVES.inc(rhs.shape[1])
         out = self._lu.solve(rhs)
         if not np.all(np.isfinite(out)):
             raise SolverError("krylov direct solve produced non-finite values")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from repro.sim.engine import Simulator
 from repro.sim.results import SimulationResult
 from repro.sweep.aggregate import default_aggregators
 from repro.sweep.runner import SweepResult
+from repro.telemetry import metrics
 
 
 def make_result(
@@ -99,3 +101,12 @@ def simulator_loop(spec, directory: Path) -> tuple[list[SimulationResult], dict]
         aggregators=aggregators,
     )
     return results, export_outputs(reference, directory / "ref")
+
+
+def counter_deltas(before: dict) -> collections.Counter:
+    """Registry counter increments since ``before`` (a
+    ``metrics.snapshot()``), keyed by counter name; names that did not
+    move read 0."""
+    return collections.Counter(
+        metrics.snapshot_diff(before, metrics.snapshot())["counters"]
+    )

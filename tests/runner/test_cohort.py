@@ -6,18 +6,16 @@ layer too, in ``tests/sweep/test_cohort_sweep.py``)."""
 import sys
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
 from repro.runner import BatchRunner, cohort_signature, group_cohorts
 from repro.runner.cohort import split_cohort
 from repro.sim import engine
 from repro.sim.cache import CharacterizationCache, clear_system_memo
 from repro.sim.config import CoolingMode, SimulationConfig
 from repro.sweep import SweepSpec
-from repro.thermal.solver import factorization_count
+from repro.telemetry import metrics
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from helpers import assert_results_identical
@@ -122,36 +120,6 @@ class TestGroupingPartition:
             assert len(slices) == min(parts, len(members))
 
 
-class TestTwoPhaseStep:
-    def test_begin_solve_finish_matches_fused_step(self):
-        config = SimulationConfig(duration=1.0, nx=12, ny=12)
-        fused = engine.Simulator(config)
-        split = engine.Simulator(config)
-        expected = fused.run()
-        while not split.finished:
-            pending = split.step_begin()
-            solver = split.system.transient_solver(
-                pending.setting, config.sampling_interval
-            )
-            solved = solver.step(pending.temperatures, pending.node_power)
-            split.step_finish(pending, solved)
-        assert_results_identical(expected, split.result())
-
-    def test_double_begin_raises(self):
-        sim = engine.Simulator(SimulationConfig(duration=0.5, nx=8, ny=8))
-        sim.step_begin()
-        with pytest.raises(ConfigurationError, match="pending"):
-            sim.step_begin()
-
-    def test_finish_without_begin_raises(self):
-        config = SimulationConfig(duration=0.5, nx=8, ny=8)
-        sim = engine.Simulator(config)
-        pending = sim.step_begin()
-        sim.step_finish(pending, pending.temperatures)
-        with pytest.raises(ConfigurationError, match="pending"):
-            sim.step_finish(pending, pending.temperatures)
-
-
 def simulator_runs(configs):
     """The plain reference: one ``Simulator(config).run()`` per config."""
     return [engine.Simulator(config).run() for config in configs]
@@ -194,21 +162,24 @@ class TestFactorizationSharing:
         zero LU factorizations — every (network, dt) system is hit at
         most once per process, however many runs step through it."""
         configs = policy_seed_configs(8, duration=0.3)
+        factorizations = metrics.counter("solver.factorizations")
         BatchRunner(configs).run()
-        before = factorization_count()
+        before = factorizations.value()
         BatchRunner(configs).run()
-        assert factorization_count() == before
+        assert factorizations.value() == before
 
     def test_cold_factorizations_independent_of_cohort_size(self):
         """<=1 factorization per network: 8 runs through one network
         factorize exactly as much as 2 runs (cooling Max pins the pump,
         so the visited settings cannot differ)."""
 
+        factorizations = metrics.counter("solver.factorizations")
+
         def cold_count(n):
             clear_system_memo()
             configs = policy_seed_configs(n, duration=0.3, cooling=CoolingMode.LIQUID_MAX)
-            before = factorization_count()
+            before = factorizations.value()
             BatchRunner(configs, cache=CharacterizationCache()).run()
-            return factorization_count() - before
+            return factorizations.value() - before
 
         assert cold_count(8) == cold_count(2)

@@ -118,8 +118,9 @@ class TestEngineDelegation:
         from repro.sim import engine
 
         config = _liquid_config()
-        system = _system_with()
-        model = PowerModel(system.stack, leakage=LeakageModel())
-        table_a = engine.characterized_table(system, model, config)
-        table_b = engine.default_cache().table(system, model, config)
+        simulator = Simulator(config)
+        assert simulator.cache is engine.default_cache()
+        model = simulator.power_model
+        table_a = simulator.cache.table(simulator.system, model, config)
+        table_b = engine.default_cache().table(simulator.system, model, config)
         assert table_a is table_b

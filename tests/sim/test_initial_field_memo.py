@@ -140,7 +140,7 @@ class TestInitialFieldMemo:
             return configs, [run.result for run in runs]
 
         configs, krylov = campaign("krylov")
-        assert group_cohorts(configs, neighbors=True) == [list(range(6))]
+        assert group_cohorts(configs) == [list(range(6))]
         # One steady solve per design point: the second seed reuses it.
         assert len(steady_calls) == 3
         _, exact = campaign("exact")

@@ -10,6 +10,9 @@ Var-cooled TALB sweep, whose flow-table characterization is multi-RHS
 work the krylov tier factorizes for rather than iterating.
 """
 
+import sys
+from collections import Counter
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -28,9 +31,11 @@ from repro.thermal.solver import (
     SteadyStateSolver,
     TransientSolver,
     clear_neighbor_cache,
-    factorization_count,
-    krylov_stats,
 )
+from repro.telemetry import metrics
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from helpers import counter_deltas
 
 N_POINTS = 6
 
@@ -70,32 +75,27 @@ def _talb_sweep_configs(solver: str) -> list:
     ]
 
 
-def _stats_since(before: dict) -> dict:
-    return {key: value - before[key] for key, value in krylov_stats().items()}
-
-
 class Campaign(NamedTuple):
     results: list
-    factorizations: int
-    stats: dict  # krylov_stats() delta over the whole campaign
-    warm_stats: dict  # krylov_stats() delta over characterization alone
+    counters: Counter  # registry counter deltas over the whole campaign
+    warm_counters: Counter  # ... over characterization alone
     cache: CharacterizationCache
+
+    @property
+    def factorizations(self) -> int:
+        return self.counters["solver.factorizations"]
 
 
 def _campaign(solver: str, configs=_sweep_configs) -> Campaign:
     """Warm, then run, the sweep cold."""
     clear_system_memo()
     clear_neighbor_cache()
-    before_f = factorization_count()
-    before_s = krylov_stats()
+    before = metrics.snapshot()
     cache = CharacterizationCache().warm(configs(solver))
-    warm_stats = _stats_since(before_s)
+    warm_counters = counter_deltas(before)
     batch = BatchRunner(configs(solver), cache=cache)
     results = [run.result for run in batch.run().runs]
-    return Campaign(
-        results, factorization_count() - before_f, _stats_since(before_s),
-        warm_stats, cache,
-    )
+    return Campaign(results, counter_deltas(before), warm_counters, cache)
 
 
 def _worst_difference(exact: Campaign, krylov: Campaign) -> float:
@@ -125,21 +125,21 @@ class TestKrylovAccuracySmoke:
 
     def test_krylov_factorizes_fewer_than_design_points(self, campaigns):
         exact, krylov = campaigns
-        exact_f, krylov_f, stats = (
-            exact.factorizations, krylov.factorizations, krylov.stats
+        exact_f, krylov_f, counters = (
+            exact.factorizations, krylov.factorizations, krylov.counters
         )
         # Exact pays steady + transient per distinct network.
         assert exact_f == 2 * N_POINTS
         # Krylov factorizes the first design point only; every later
         # point preconditions off it.
         assert krylov_f < N_POINTS
-        assert stats["preconditioner_hits"] > 0
-        assert stats["fallbacks"] == 0
+        assert counters["solver.krylov.preconditioner_hits"] > 0
+        assert counters["solver.krylov.fallbacks"] == 0
 
     def test_exact_campaign_never_iterates(self, campaigns):
-        exact_stats = campaigns[0].stats
-        assert exact_stats["gmres_solves"] == 0
-        assert exact_stats["direct_solves"] == 0
+        exact_counters = campaigns[0].counters
+        assert exact_counters["solver.krylov.gmres_solves"] == 0
+        assert exact_counters["solver.krylov.direct_solves"] == 0
 
 
 class TestKrylovCharacterizationGate:
@@ -161,16 +161,16 @@ class TestKrylovCharacterizationGate:
     def test_krylov_factorizes_no_more_than_exact(self, campaigns):
         exact, krylov = campaigns
         assert krylov.factorizations <= exact.factorizations
-        assert krylov.stats["preconditioner_hits"] > 0
-        assert krylov.stats["fallbacks"] == 0
+        assert krylov.counters["solver.krylov.preconditioner_hits"] > 0
+        assert krylov.counters["solver.krylov.fallbacks"] == 0
 
     def test_characterization_does_not_iterate(self, campaigns):
         # Every multi-RHS batch factorizes, so the flow-table sweep
         # runs no GMRES solve at all.
         _, krylov = campaigns
         assert krylov.cache.tables
-        assert krylov.warm_stats["gmres_solves"] == 0
-        assert krylov.warm_stats["direct_solves"] > 0
+        assert krylov.warm_counters["solver.krylov.gmres_solves"] == 0
+        assert krylov.warm_counters["solver.krylov.direct_solves"] > 0
 
 
 class TestKrylovVariableFlow:

@@ -4,7 +4,9 @@ full results through rows, aggregates, CSV and completion JSON, serial
 or across workers, with or without payload-only transport.
 
 ``TestCohortSerialSmoke`` is the gating CI smoke (mirroring the
-2-worker distributed smoke).
+2-worker distributed smoke), together with ``TestSerialStreaming``: a
+serial batch hands each run downstream as soon as it finishes, not
+once its whole cohort has.
 """
 
 import sys
@@ -12,12 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner import BatchRunner
+from repro.io.jsonl import read_jsonl
+from repro.runner import BatchRunner, group_cohorts
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
 from repro.sweep import SweepRunner, SweepSpec
 from repro.sweep.aggregate import Aggregator, default_aggregators
 from repro.sweep.runner import FoldReducer, _spec_rebuildable
+from repro.telemetry import metrics
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from helpers import assert_results_identical, export_outputs, simulator_loop
@@ -110,6 +114,51 @@ class TestCohortSerialSmoke:
     )
     def test_matches_simulator_loop(self, tmp_path, scenario, workers):
         assert_matches_simulator_loop(tmp_path, scenario, workers)
+
+
+def one_cohort_spec() -> SweepSpec:
+    """Four runs through one network: a single serial cohort."""
+    return SweepSpec(
+        base=SimulationConfig(duration=0.3, nx=8, ny=8),
+        grid={"policy": ["TALB", "RR"], "seed": [0, 1]},
+        name="serial-streaming",
+    )
+
+
+class TestSerialStreaming:
+    """Gating: serial batches stream per run, not per cohort."""
+
+    def test_first_run_arrives_after_one_simulation(self):
+        configs = [point.config for point in one_cohort_spec().iter_points()]
+        assert group_cohorts(configs) == [[0, 1, 2, 3]]
+        runs = metrics.counter("runner.runs")
+        before = runs.value()
+        stream = BatchRunner(configs).iter_runs()
+        try:
+            first = next(stream)
+            assert first.index == 0
+            assert runs.value() - before == 1
+        finally:
+            stream.close()
+
+    def test_checkpoint_journals_one_run_line_per_fold(self, tmp_path):
+        """Each fold finds exactly its own runs simulated and journaled,
+        so a kill mid-cohort loses no finished run."""
+        ckpt = tmp_path / "sweep.ckpt"
+        runs = metrics.counter("runner.runs")
+        before = runs.value()
+        seen = []
+
+        def progress(folded, total, point, elapsed):
+            entries = read_jsonl(ckpt).entries
+            journaled = sum(1 for e in entries if e.get("kind") == "run")
+            seen.append((folded, runs.value() - before, journaled))
+
+        result = SweepRunner(
+            one_cohort_spec(), checkpoint=ckpt, progress=progress
+        ).run()
+        assert result.complete
+        assert seen == [(k, k, k) for k in range(1, 5)]
 
 
 class TestCohortSweepByteIdentity:

@@ -69,22 +69,17 @@ class TestNeighborCohorts:
         assert structural_signature(a) != structural_signature(wide)
 
     def test_default_grouping_unchanged_by_neighbors_flag(self):
-        # Exact-tier configs must partition exactly as before the
-        # neighbor mode existed: byte-identity of the default path
-        # rides on this.
-        configs = _configs("exact")
-        assert group_cohorts(configs) == group_cohorts(configs, neighbors=True)
-        assert group_cohorts(configs, neighbors=True) == [[0], [1]]
+        # Exact-tier configs partition by their full signature whatever
+        # neighbor grouping does for krylov configs: byte-identity of
+        # the default path rides on this.
+        assert group_cohorts(_configs("exact")) == [[0], [1]]
 
     def test_krylov_configs_form_neighbor_cohorts(self):
-        groups = group_cohorts(_configs("krylov"), neighbors=True)
-        assert groups == [[0, 1]]
-        # Without the flag they still partition by exact signature.
-        assert group_cohorts(_configs("krylov")) == [[0], [1]]
+        assert group_cohorts(_configs("krylov")) == [[0, 1]]
 
     def test_mixed_tiers_never_share_a_cohort(self):
         configs = _configs("exact", scales=(4.0,)) + _configs(
             "krylov", scales=(4.0,)
         )
-        groups = group_cohorts(configs, neighbors=True)
+        groups = group_cohorts(configs)
         assert len(groups) == 2

@@ -1,16 +1,13 @@
-"""Telemetry across the stack: shims, byte-identity, campaign rollup.
+"""Telemetry across the stack: byte-identity, campaign rollup, spans.
 
 The acceptance properties of the telemetry subsystem:
 
-* the legacy ``factorization_count()`` / ``krylov_stats()`` APIs are
-  byte-compatible shims over the registry (and ``krylov_stats`` returns
-  a snapshot copy, never a live mutable view);
 * tracing never changes results — sweep exports are byte-identical
   with tracing on or off, and telemetry-off shard journals carry no
   telemetry lines at all;
 * a campaign worked by telemetry-enabled workers merges into one
   aggregated metrics report whose ``solver.factorizations`` matches
-  the legacy counter's delta exactly.
+  the process counter's delta over the same work exactly.
 """
 
 import time
@@ -29,7 +26,6 @@ from repro.io.jsonl import read_jsonl
 from repro.sim.config import SimulationConfig
 from repro.sweep import SweepRunner, SweepSpec
 from repro.telemetry import metrics, trace
-from repro.thermal.solver import factorization_count, krylov_stats
 
 
 def small_spec(name, duration=1.0):
@@ -47,27 +43,6 @@ def tracing():
     yield trace
     trace.disable()
     trace.clear()
-
-
-class TestLegacyShims:
-    def test_factorization_count_is_the_registry_counter(self):
-        assert (
-            factorization_count()
-            == metrics.counter("solver.factorizations").value()
-        )
-
-    def test_krylov_stats_is_the_registry_counters(self):
-        stats = krylov_stats()
-        for key, value in stats.items():
-            assert value == metrics.counter("solver.krylov." + key).value()
-
-    def test_krylov_stats_returns_snapshot_copy(self):
-        """Mutating a returned stats dict must never leak back."""
-        stats = krylov_stats()
-        original = dict(stats)
-        stats["iterations"] += 1000
-        stats["fallbacks"] = -1
-        assert krylov_stats() == original
 
 
 class TestByteIdentity:
@@ -110,7 +85,7 @@ class TestByteIdentity:
 class TestCampaignAggregation:
     def test_merged_factorizations_match_legacy_counter(self, tmp_path, tracing):
         """Two telemetry-enabled workers -> one campaign-wide metrics
-        report whose solver.factorizations equals the legacy counter's
+        report whose solver.factorizations equals the process counter's
         delta over the same work, exactly."""
         from repro.sim.cache import clear_system_memo
 
@@ -119,20 +94,18 @@ class TestCampaignAggregation:
         # Drop memoized systems so the campaign factorizes afresh —
         # otherwise earlier tests' warm memo makes both deltas zero and
         # the equality below trivially weak.
+        factorizations = metrics.counter("solver.factorizations")
         clear_system_memo()
-        before = factorization_count()
+        before = factorizations.value()
         run_worker(tmp_path, worker_id="w1", max_shards=1, wait=False)
         run_worker(tmp_path, worker_id="w2", wait=False)
-        legacy_delta = factorization_count() - before
+        delta = factorizations.value() - before
 
         merged = merge_campaign(tmp_path)
         assert merged.complete
         assert merged.telemetry is not None
-        assert legacy_delta > 0
-        assert (
-            merged.telemetry["counters"]["solver.factorizations"]
-            == legacy_delta
-        )
+        assert delta > 0
+        assert merged.telemetry["counters"]["solver.factorizations"] == delta
         # The per-shard deltas carry the span-derived timers too.
         assert any(
             key.startswith("span.") for key in merged.telemetry["timers"]
@@ -143,9 +116,10 @@ class TestCampaignAggregation:
         to the whole, with no double counting across shards."""
         spec = small_spec("telemetry-per-shard")
         plan_campaign(spec, tmp_path, chunk_size=2)
-        before = factorization_count()
+        factorizations = metrics.counter("solver.factorizations")
+        before = factorizations.value()
         run_worker(tmp_path, worker_id="w", wait=False)
-        total = factorization_count() - before
+        total = factorizations.value() - before
         ledger = read_ledger(tmp_path)
         per_shard = []
         for shard in ledger.shards:
@@ -201,14 +175,11 @@ class TestHotPathInstrumentation:
         simulate(SimulationConfig(duration=1.0))
         names = {e["name"] for e in trace.events()}
         assert {"assemble", "factorize", "steady", "step"} <= names
-        # step_begin/step_finish nest inside their step span.
-        events = trace.events()
-        by_id = {e["span"]: e for e in events}
-        begins = [e for e in events if e["name"] == "step_begin"]
-        assert begins
-        assert all(
-            by_id[e["parent"]]["name"] == "step" for e in begins if e["parent"]
-        )
+        # One step span per interval, each tagged with its index and
+        # solve setting.
+        steps = [e for e in trace.events() if e["name"] == "step"]
+        assert [e["attrs"]["index"] for e in steps] == list(range(10))
+        assert all("setting" in e["attrs"] for e in steps)
 
     def test_system_memo_counters_track_hits_and_misses(self):
         from repro.sim.cache import clear_system_memo, system_for

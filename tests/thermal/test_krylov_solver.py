@@ -25,8 +25,6 @@ from repro.thermal.solver import (
     SteadyStateSolver,
     TransientSolver,
     clear_neighbor_cache,
-    factorization_count,
-    krylov_stats,
     params_distance,
     structure_signature,
     _params_vector,
@@ -44,6 +42,14 @@ def _network(grid, **param_overrides):
     return build_network(
         grid, ThermalParams(**param_overrides), cavity_flows=[FLOW]
     )
+
+
+def _factorizations() -> int:
+    return metrics.counter("solver.factorizations").value()
+
+
+def _krylov(key: str) -> int:
+    return metrics.counter("solver.krylov." + key).value()
 
 
 @pytest.fixture(scope="module")
@@ -129,9 +135,9 @@ class TestNeighborFactorCache:
 class TestKrylovTransient:
     def test_first_point_factorizes_and_matches_exact(self, net, power):
         cache = NeighborFactorCache()
-        before = factorization_count()
+        before = _factorizations()
         krylov = KrylovTransientSolver(net, 0.1, ThermalParams(), cache=cache)
-        assert factorization_count() - before == 1
+        assert _factorizations() - before == 1
         assert len(cache) == 1
         exact = TransientSolver(net, 0.1)
         state = np.full(net.n_nodes, 60.0)
@@ -146,13 +152,12 @@ class TestKrylovTransient:
         KrylovTransientSolver(_network(grid, resistance_scale=4.2), 0.1,
                               seed_params, cache=cache)
         target = _network(grid)
-        before = factorization_count()
-        stats_before = krylov_stats()
+        before = _factorizations()
+        hits_before = _krylov("preconditioner_hits")
         krylov = KrylovTransientSolver(target, 0.1, ThermalParams(), cache=cache)
-        assert factorization_count() - before == 0
+        assert _factorizations() - before == 0
         assert krylov.neighbor_distance is not None
-        stats = krylov_stats()
-        assert stats["preconditioner_hits"] == stats_before["preconditioner_hits"] + 1
+        assert _krylov("preconditioner_hits") == hits_before + 1
         exact = TransientSolver(target, 0.1)
         state = np.full(target.n_nodes, 60.0)
         out_k, out_e = krylov.step(state, power), exact.step(state, power)
@@ -162,9 +167,9 @@ class TestKrylovTransient:
     def test_exact_design_point_reuses_lu_bitwise(self, net, power):
         cache = NeighborFactorCache()
         first = KrylovTransientSolver(net, 0.1, ThermalParams(), cache=cache)
-        before = factorization_count()
+        before = _factorizations()
         again = KrylovTransientSolver(net, 0.1, ThermalParams(), cache=cache)
-        assert factorization_count() - before == 0
+        assert _factorizations() - before == 0
         state = np.full(net.n_nodes, 60.0)
         np.testing.assert_array_equal(
             again.step(state, power), first.step(state, power)
@@ -197,13 +202,13 @@ class TestKrylovTransient:
             target, 0.1, ThermalParams(), cache=cache, max_iterations=1
         )
         assert krylov.fallback_count == 0
-        before = factorization_count()
-        stats_before = krylov_stats()
+        before = _factorizations()
+        fallbacks_before = _krylov("fallbacks")
         state = np.full(target.n_nodes, 60.0)
         out = krylov.step(state, power)
         assert krylov.fallback_count == 1
-        assert factorization_count() - before == 1
-        assert krylov_stats()["fallbacks"] == stats_before["fallbacks"] + 1
+        assert _factorizations() - before == 1
+        assert _krylov("fallbacks") == fallbacks_before + 1
         np.testing.assert_array_equal(
             out, TransientSolver(target, 0.1).step(state, power)
         )
@@ -246,9 +251,9 @@ class TestKrylovSteady:
         KrylovSteadySolver(seed_net, ThermalParams(resistance_scale=4.2),
                            cache=cache)
         target = _network(grid)
-        before = factorization_count()
+        before = _factorizations()
         krylov = KrylovSteadySolver(target, ThermalParams(), cache=cache)
-        assert factorization_count() - before == 0
+        assert _factorizations() - before == 0
         exact = SteadyStateSolver(target)
         diff = np.abs(krylov.solve(power) - exact.solve(power)).max()
         assert diff < KRYLOV_TEMPERATURE_TOLERANCE
@@ -275,10 +280,6 @@ class TestKrylovSteady:
             krylov.solve(np.zeros(3))
         with pytest.raises(SolverError):
             krylov.solve_many(np.zeros((3, 2)))
-
-
-def _amortized() -> int:
-    return metrics.counter("solver.krylov.amortized").value()
 
 
 def _neighbor_steady(grid, cache, **solver_kwargs):
@@ -310,11 +311,11 @@ class TestBatchFactorization:
             utils = np.linspace(0.0, 1.0, 11)
             for k in range(krylov.pump.n_settings):
                 seed.steady_solver(k)
-                before = factorization_count()
+                before = _factorizations()
                 fields = krylov.steady_temperature_fields(
                     power_model, utils, setting_index=k
                 )
-                assert factorization_count() - before <= 1
+                assert _factorizations() - before <= 1
                 assert krylov.steady_solver(k)._core.neighbor_distance is not None
                 reference = exact.steady_temperature_fields(
                     power_model, utils, setting_index=k
@@ -330,20 +331,20 @@ class TestBatchFactorization:
         krylov = _neighbor_steady(grid, cache, max_iterations=1)
         powers = np.stack([power, 0.5 * power], axis=1)
         expected = SteadyStateSolver(_network(grid)).solve_many(powers)
-        before_f, before_a = factorization_count(), _amortized()
-        stats_before = krylov_stats()
+        before_f, before_a = _factorizations(), _krylov("amortized")
+        before_g = _krylov("gmres_solves")
         block = krylov.solve_many(powers)
-        assert factorization_count() - before_f == 1
-        assert _amortized() - before_a == 1
-        assert krylov_stats()["gmres_solves"] == stats_before["gmres_solves"]
+        assert _factorizations() - before_f == 1
+        assert _krylov("amortized") - before_a == 1
+        assert _krylov("gmres_solves") == before_g
         assert np.abs(block - expected).max() < KRYLOV_TEMPERATURE_TOLERANCE
         # The LU is retained for neighbors and answers later calls
         # directly.
         assert cache.exact(krylov._core.structure, ThermalParams()) is not None
         krylov.solve_many(powers)
         krylov.solve(power)
-        assert factorization_count() - before_f == 1
-        assert krylov_stats()["gmres_solves"] == stats_before["gmres_solves"]
+        assert _factorizations() - before_f == 1
+        assert _krylov("gmres_solves") == before_g
         assert krylov.fallback_count == 0
 
     def test_factorizing_releases_the_neighbor_lu(self, grid, power):
@@ -364,23 +365,23 @@ class TestBatchFactorization:
                               ThermalParams(resistance_scale=4.2), cache=cache)
         target = _network(grid)
         krylov = KrylovTransientSolver(target, 0.1, ThermalParams(), cache=cache)
-        before_f, before_a = factorization_count(), _amortized()
+        before_f, before_a = _factorizations(), _krylov("amortized")
         state = np.full(target.n_nodes, 60.0)
         for _ in range(30):
             state = krylov.step(state, power)
-        assert factorization_count() == before_f
-        assert _amortized() == before_a
+        assert _factorizations() == before_f
+        assert _krylov("amortized") == before_a
         assert krylov.fallback_count == 0
 
     def test_batch_after_fallback_does_not_factorize_again(self, grid, power):
         cache = NeighborFactorCache()
         krylov = _neighbor_steady(grid, cache, max_iterations=1)
-        before_f, before_a = factorization_count(), _amortized()
+        before_f, before_a = _factorizations(), _krylov("amortized")
         krylov.solve(power)
         assert krylov.fallback_count == 1
         krylov.solve_many(np.stack([power, 0.5 * power], axis=1))
-        assert factorization_count() - before_f == 1
-        assert _amortized() == before_a
+        assert _factorizations() - before_f == 1
+        assert _krylov("amortized") == before_a
 
     def test_factorize_spans_carry_their_reason(self, grid, power):
         trace.enable(capacity=1024)
@@ -404,9 +405,6 @@ class TestBatchFactorization:
             trace.disable()
             trace.clear()
         assert reasons == ["miss", "amortize", "fallback"]
-
-    def test_amortized_counter_stays_out_of_krylov_stats(self):
-        assert "amortized" not in krylov_stats()
 
 
 class TestSingularNetworks:
@@ -447,7 +445,7 @@ class TestCounterThreadSafety:
         n_threads = 8
         nets = [_network(grid, resistance_scale=1.0 + 0.01 * i)
                 for i in range(n_threads)]
-        before = factorization_count()
+        before = _factorizations()
         barrier = threading.Barrier(n_threads)
 
         def build(net):
@@ -459,4 +457,4 @@ class TestCounterThreadSafety:
             t.start()
         for t in threads:
             t.join()
-        assert factorization_count() - before == n_threads
+        assert _factorizations() - before == n_threads

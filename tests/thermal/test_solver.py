@@ -6,6 +6,7 @@ import pytest
 from repro import units
 from repro.errors import SolverError
 from repro.geometry.stack import build_stack
+from repro.telemetry import metrics
 from repro.thermal.grid import ThermalGrid
 from repro.thermal.rc_network import ThermalParams, build_network
 from repro.thermal.solver import (
@@ -143,14 +144,13 @@ class TestStepMany:
 
 class TestFactorizationCounter:
     def test_counts_each_factorization_once(self, net):
-        from repro.thermal.solver import factorization_count
-
-        before = factorization_count()
+        factorizations = metrics.counter("solver.factorizations")
+        before = factorizations.value()
         solver = TransientSolver(net, dt=0.05)
-        assert factorization_count() == before + 1
+        assert factorizations.value() == before + 1
         # Stepping never factorizes.
         state = np.full(net.n_nodes, 40.0)
         solver.step(state, np.zeros(net.n_nodes))
-        assert factorization_count() == before + 1
+        assert factorizations.value() == before + 1
         SteadyStateSolver(net)
-        assert factorization_count() == before + 2
+        assert factorizations.value() == before + 2
